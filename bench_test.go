@@ -135,12 +135,26 @@ func BenchmarkFigure12Scalability(b *testing.B) {
 
 // --- Ablation benches -----------------------------------------------------
 
+// weightOf returns a function that unwraps a core search's result to its
+// weight, failing b on an error.
+func weightOf(b *testing.B) func(*core.Result, error) int {
+	return func(r *core.Result, err error) int {
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r.PredictedWeight
+	}
+}
+
 func BenchmarkHATTConstruction3x3(b *testing.B) {
-	// NoMemo: time the greedy search itself, not a build-memo replay.
+	// Reset the memo every iteration: time the greedy search itself, not
+	// a build-memo replay.
 	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true}).PredictedWeight <= 0 {
+		core.ResetBuildCache()
+		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -148,9 +162,11 @@ func BenchmarkHATTConstruction3x3(b *testing.B) {
 
 func BenchmarkHATTConstruction4x4(b *testing.B) {
 	mh := models.FermiHubbard(4, 4, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true}).PredictedWeight <= 0 {
+		core.ResetBuildCache()
+		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -161,11 +177,12 @@ func BenchmarkHATTMemoHit3x3(b *testing.B) {
 	// memoized merge schedule. The delta vs BenchmarkHATTConstruction3x3
 	// is what the memo saves a multi-tenant batch.
 	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	core.ResetBuildCache()
-	core.Build(mh) // warm the memo
+	weight(core.Build(ctx, mh, core.Options{})) // warm the memo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.Build(mh).PredictedWeight <= 0 {
+		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -208,9 +225,10 @@ func BenchmarkCompilerPipelineH2(b *testing.B) {
 
 func BenchmarkHATTUnoptConstruction3x3(b *testing.B) {
 	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.BuildUnopt(mh).PredictedWeight <= 0 {
+		if weight(core.BuildUnopt(ctx, mh, core.Options{})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -229,20 +247,22 @@ func BenchmarkHATTUncached3x3(b *testing.B) {
 
 func BenchmarkExhaustiveSearch2x2Budget(b *testing.B) {
 	mh := models.FermiHubbard(2, 2, 1, 4).Majorana(1e-12)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.Exhaustive(mh, 50_000).PredictedWeight <= 0 {
-			b.Fatal("bad weight")
+		res, err := core.Exhaustive(ctx, mh, core.Options{MaxVisits: 50_000})
+		if err != nil || res.PredictedWeight <= 0 {
+			b.Fatal("bad weight", err)
 		}
 	}
 }
 
 func BenchmarkAnneal2x3(b *testing.B) {
 	mh := models.FermiHubbard(2, 3, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.Anneal(mh, core.AnnealOptions{Iters: 500, Seed: int64(i + 1)})
-		if res.PredictedWeight <= 0 {
+		if weight(core.Anneal(ctx, mh, core.Options{Iters: 500, Seed: int64(i + 1)})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -273,9 +293,10 @@ func BenchmarkCircuitCompileH2O(b *testing.B) {
 
 func BenchmarkBeamSearch2x2Width8(b *testing.B) {
 	mh := models.FermiHubbard(2, 2, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if core.BuildBeam(mh, 8).PredictedWeight <= 0 {
+		if weight(core.Beam(ctx, mh, core.Options{Width: 8})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -283,10 +304,10 @@ func BenchmarkBeamSearch2x2Width8(b *testing.B) {
 
 func BenchmarkTieBreakSupport2x3(b *testing.B) {
 	mh := models.FermiHubbard(2, 3, 1, 4).Majorana(1e-12)
+	ctx, weight := context.Background(), weightOf(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.BuildWithOptions(mh, core.BuildOptions{TieBreak: core.TieSupport})
-		if res.PredictedWeight <= 0 {
+		if weight(core.Build(ctx, mh, core.Options{TieBreak: core.TieSupport})) <= 0 {
 			b.Fatal("bad weight")
 		}
 	}
@@ -383,7 +404,7 @@ func BenchmarkTaperH2(b *testing.B) {
 	hq := mapping.JordanWigner(4).ApplyFermionic(models.H2STO3G())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := taper.GroundSector(hq, linalg.GroundEnergy); err != nil {
+		if _, _, err := taper.GroundSector(context.Background(), hq, linalg.GroundEnergy); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,6 @@
 //	GET    /v1/readyz           readiness (503 + reasons while degraded)
 //	GET    /v1/stats            cache/fleet counters and queue depth
 //	GET    /v1/traces/{id}      recent request trace (spans + timings)
-//	GET    /debug/vars          the same stats via expvar
 //	GET    /metrics             Prometheus text exposition of the same counters
 //
 // Every response carries a Trace-Id header; requests may supply a W3C
@@ -42,7 +41,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -180,13 +178,10 @@ func run() error {
 	apiOpts = append(apiOpts, service.WithObservability(obs.NewRegistry(), obs.NewTracer(*traceBuffer)))
 	api := service.NewAPI(mgr, st, apiOpts...)
 
-	// One snapshot path feeds every introspection surface: /v1/stats,
-	// expvar's /debug/vars, and the registry collectors behind /metrics
-	// all read the same counters, so the three views cannot drift.
-	expvar.Publish("hattd", expvar.Func(func() any { return api.StatsSnapshot() }))
+	// /v1/stats and the registry collectors behind /metrics read the
+	// same counters, so the two views cannot drift.
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", api.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.Handle("GET /metrics", api.MetricsHandler())
 
 	// Live profiling gets its own listener: /debug/pprof/* never shares

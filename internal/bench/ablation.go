@@ -44,7 +44,7 @@ func BeamAblation(widths []int, opt Options) []BeamAblationRow {
 			// build memo would make the wider runs look cheaper.
 			core.ResetBuildCache()
 			t0 := time.Now()
-			res := core.BuildBeam(mh, w)
+			res := search(core.Beam, mh, core.Options{Width: w})
 			row.Times = append(row.Times, time.Since(t0))
 			row.Weights = append(row.Weights, res.PredictedWeight)
 		}
@@ -99,7 +99,7 @@ func OrderingAblation(opt Options) []OrderingAblationRow {
 			continue
 		}
 		mh := c.Build().Majorana(1e-12)
-		hq := core.Build(mh).Mapping.Apply(mh)
+		hq := search(core.Build, mh, core.Options{}).Mapping.Apply(mh)
 		row := OrderingAblationRow{Case: c.Name, Modes: c.Modes}
 		for _, o := range orders {
 			cc := circuit.Compile(hq, o.ord)
@@ -161,7 +161,7 @@ func TieBreakAblation(opt Options) []TieBreakAblationRow {
 		mh := c.Build().Majorana(1e-12)
 		row := TieBreakAblationRow{Case: c.Name, Modes: c.Modes}
 		for _, p := range policies {
-			res := core.BuildWithOptions(mh, core.BuildOptions{TieBreak: p.tb})
+			res := search(core.Build, mh, core.Options{TieBreak: p.tb})
 			row.Policies = append(row.Policies, p.name)
 			row.Weights = append(row.Weights, res.PredictedWeight)
 			row.Depths = append(row.Depths, res.Tree.Depth())
@@ -212,10 +212,13 @@ func CacheAblation(opt Options) []CacheAblationRow {
 		mh := allMajoranaSum(n)
 		rows = append(rows, CacheAblationRow{
 			Modes: n,
-			// NoMemo: this ablation times the Algorithm-3 descZ caches,
-			// so every rep must run the full construction rather than
-			// hit the build memo.
-			Cached:   minTime(func() { core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true}) }),
+			// This ablation times the Algorithm-3 descZ caches, so every
+			// rep must run the full construction rather than hit the
+			// build memo.
+			Cached: minTime(func() {
+				core.ResetBuildCache()
+				search(core.Build, mh, core.Options{})
+			}),
 			Uncached: minTime(func() { core.BuildUncached(mh) }),
 		})
 	}

@@ -195,6 +195,16 @@ type Table6Row struct {
 	ConstructUsec int64
 }
 
+// search runs a core search that nothing cancels or bounds, so an error
+// can only be a panic recovered inside a worker; it is re-raised.
+func search[R any](run func(context.Context, *fermion.MajoranaHamiltonian, core.Options) (R, error), mh *fermion.MajoranaHamiltonian, opts core.Options) R {
+	r, err := run(context.Background(), mh, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // Table6 regenerates the HATT(unopt)-vs-HATT comparison for every catalog
 // case up to 24 modes, as in the paper.
 func Table6(opt Options) []Table6Row {
@@ -208,11 +218,12 @@ func Table6(opt Options) []Table6Row {
 			continue
 		}
 		mh := c.Build().Majorana(1e-12)
+		// Earlier tables compile the same catalog models through the
+		// facade, so a memoized Build here would time a replay.
+		core.ResetBuildCache()
 		t0 := time.Now()
-		un := core.BuildUnopt(mh)
-		// NoMemo: earlier tables compile the same catalog models through
-		// the facade, so a memoized Build here would time a replay.
-		op := core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true})
+		un := search(core.BuildUnopt, mh, core.Options{})
+		op := search(core.Build, mh, core.Options{})
 		el := time.Since(t0).Microseconds()
 		rel := 0.0
 		if un.PredictedWeight > 0 {

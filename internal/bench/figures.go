@@ -33,9 +33,9 @@ func figureMappings(n int, mh *fermion.MajoranaHamiltonian, opt Options) []*mapp
 		mapping.BalancedTernaryTree(n),
 	}
 	if opt.FHMaxModes == 0 || n <= opt.FHMaxModes {
-		ms = append(ms, core.Exhaustive(mh, opt.FHBudget).Mapping)
+		ms = append(ms, search(core.Exhaustive, mh, core.Options{MaxVisits: opt.FHBudget}).Mapping)
 	}
-	ms = append(ms, core.Build(mh).Mapping)
+	ms = append(ms, search(core.Build, mh, core.Options{}).Mapping)
 	return ms
 }
 
@@ -248,14 +248,17 @@ func Figure12(opt Options) []Figure12Row {
 		row := Figure12Row{Modes: n}
 		if n <= opt.FHMaxN {
 			t0 := time.Now()
-			res := core.Exhaustive(mh, opt.FHBudget)
+			res := search(core.Exhaustive, mh, core.Options{MaxVisits: opt.FHBudget})
 			row.FH = time.Since(t0)
 			row.FHOptimal = res.Optimal
 		}
-		row.Unopt = minOf3(func() { core.BuildUnopt(mh) })
-		// NoMemo: the scalability curve times the O(N^3) construction;
-		// a memo replay would flatten it to O(N).
-		row.Opt = minOf3(func() { core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true}) })
+		row.Unopt = minOf3(func() { search(core.BuildUnopt, mh, core.Options{}) })
+		// The scalability curve times the O(N^3) construction; a memo
+		// replay would flatten it to O(N).
+		row.Opt = minOf3(func() {
+			core.ResetBuildCache()
+			search(core.Build, mh, core.Options{})
+		})
 		rows = append(rows, row)
 	}
 	return rows

@@ -176,7 +176,7 @@ func KernelSuite() []KernelRecord {
 	mh := mol.Majorana(1e-12)
 	out = kernelPair(out, "build_unopt_molecule14", 3,
 		func() { core.BuildUnoptReference(mh) },
-		func() { core.BuildUnopt(mh) })
+		func() { search(core.BuildUnopt, mh, core.Options{}) })
 
 	return out
 }

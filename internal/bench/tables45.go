@@ -49,7 +49,7 @@ func table45Catalog(opt Options) []models.Case {
 
 func jwAndHATT(c models.Case) (*fermion.MajoranaHamiltonian, *mapping.Mapping, *mapping.Mapping) {
 	mh := c.Build().Majorana(1e-12)
-	return mh, mapping.JordanWigner(c.Modes), core.Build(mh).Mapping
+	return mh, mapping.JordanWigner(c.Modes), search(core.Build, mh, core.Options{}).Mapping
 }
 
 // Table4 regenerates the Tetris-on-architecture comparison: circuits for

@@ -11,63 +11,7 @@ import (
 	"repro/internal/tree"
 )
 
-// AnnealOptions configures the simulated-annealing search. Zero values get
-// sensible defaults.
-type AnnealOptions struct {
-	Iters  int     // mutation attempts per chain (default 2000·N)
-	TStart float64 // initial temperature (default 2.0)
-	TEnd   float64 // final temperature (default 0.01)
-	Seed   int64   // RNG seed (default 1)
-	// Restarts runs that many independent annealing chains (default 1);
-	// chain k is seeded with Seed+k and the lowest-weight result wins,
-	// earliest chain on ties. The winner depends only on Seed, Restarts,
-	// and the schedule — never on Workers.
-	Restarts int
-	// Workers bounds how many chains run concurrently; values below 2
-	// run the chains sequentially, matching the zero-value semantics of
-	// BuildOptions.Workers and BeamOptions.Workers. It has no effect on
-	// the result.
-	Workers int
-	// Progress, when non-nil, is invoked periodically (roughly every 1% of
-	// the schedule) with the current iteration, the total iteration count,
-	// and the best weight found so far. With Restarts > 1 only the first
-	// chain reports, keeping the callback single-goroutine.
-	Progress func(iter, iters, bestWeight int)
-	// OnImprove, when non-nil, receives a freshly assembled Result each
-	// time a chain's best weight has improved at a progress stride. The
-	// delivered tree is the chain's retired best snapshot — it is never
-	// mutated afterwards — so callers may hold it indefinitely. With
-	// Restarts > 1 every chain reports concurrently and improvements are
-	// only monotone per chain, so the callback must be safe for concurrent
-	// use and must tolerate non-improving deliveries across chains.
-	OnImprove func(*Result)
-	// Bound, when non-nil, is a shared portfolio incumbent. Annealing has
-	// no nontrivial lower bound on its final weight — the best-so-far only
-	// decreases — so the only sound abandonment uses the universal floor
-	// (one Pauli letter per non-identity Hamiltonian term): a chain stops
-	// early iff even a floor-weight mapping could no longer win the
-	// lexicographic (weight, BoundPos) race. Stopped chains return their
-	// best-so-far result, which by construction cannot win, leaving the
-	// portfolio winner untouched.
-	Bound *Bound
-	// BoundPos is this search's position in the portfolio's canonical
-	// racer order, the tie-break key of the (weight, position) race.
-	BoundPos int
-}
-
-// Anneal runs AnnealCtx with a background context. It never returns an
-// error: a panic inside a restart chain is re-raised rather than
-// silently returning nil.
-func Anneal(mh *fermion.MajoranaHamiltonian, opts AnnealOptions) *Result {
-	//hatt:lint-ignore ctxflow compat wrapper: the Ctx variant is the library API
-	res, err := AnnealCtx(context.Background(), mh, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// AnnealCtx refines the greedy HATT-unopt tree by simulated annealing over
+// Anneal refines the greedy HATT-unopt tree by simulated annealing over
 // tree space: the mutation swaps two random non-root nodes that are not in
 // ancestor/descendant relation, which reaches every complete ternary tree
 // shape and leaf placement. It stands in for Fermihedral's approximate
@@ -75,13 +19,22 @@ func Anneal(mh *fermion.MajoranaHamiltonian, opts AnnealOptions) *Result {
 // The result keeps the leaf-ID-to-Majorana assignment, so like Fermihedral
 // it does not guarantee vacuum-state preservation.
 //
-// The context is checked on every mutation attempt; on cancellation the
-// search stops within one iteration and returns (nil, ctx.Err()).
+// It reads the schedule (Iters, TStart, TEnd, Seed, Restarts), Progress,
+// OnImprove, Workers, Bound and BoundPos. The context is checked on every
+// mutation attempt; on cancellation the search stops within one iteration
+// and returns (nil, ctx.Err()).
 //
 // With Restarts > 1 the chains run concurrently over a bounded worker
 // pool (Workers wide) and the best result is selected deterministically,
 // so a fixed Seed yields a byte-identical mapping at any Workers value.
-func AnnealCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts AnnealOptions) (*Result, error) {
+//
+// Annealing has no nontrivial lower bound on its final weight — the
+// best-so-far only decreases — so the only sound abandonment uses the
+// universal floor (one Pauli letter per non-identity Hamiltonian term): a
+// chain stops early iff even a floor-weight mapping could no longer win
+// the race. Stopped chains return their best-so-far result, which by
+// construction cannot win, leaving the portfolio winner untouched.
+func Anneal(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
 	if opts.Iters == 0 {
 		opts.Iters = 2000 * mh.Modes
 	}
@@ -97,8 +50,9 @@ func AnnealCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Anneal
 	if opts.Restarts < 1 {
 		opts.Restarts = 1
 	}
+	p := newProblem(mh)
 	if opts.Restarts == 1 {
-		return annealChain(ctx, mh, opts)
+		return annealChain(ctx, p, opts)
 	}
 	results, err := parallel.Map(ctx, opts.Restarts, max(1, opts.Workers), func(k int) (*Result, error) {
 		chain := opts
@@ -106,7 +60,7 @@ func AnnealCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Anneal
 		if k != 0 {
 			chain.Progress = nil
 		}
-		return annealChain(ctx, mh, chain)
+		return annealChain(ctx, p, chain)
 	})
 	if err != nil {
 		return nil, err
@@ -122,9 +76,8 @@ func AnnealCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Anneal
 
 // annealChain runs one simulated-annealing chain to completion (or to
 // bound-driven early exit).
-func annealChain(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts AnnealOptions) (*Result, error) {
-	p := newProblem(mh)
-	ub, err := buildUnoptScan(ctx, newProblem(mh), UnoptOptions{})
+func annealChain(ctx context.Context, p *problem, opts Options) (*Result, error) {
+	ub, err := buildUnoptScan(ctx, p, Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import (
 func TestBeamWidth1MatchesGreedy(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		mh := randomFermionic(5, 12, seed)
-		g := Build(mh)
-		b := BuildBeam(mh, 1)
+		g := run(t, Build, mh, Options{})
+		b := run(t, Beam, mh, Options{Width: 1})
 		if g.PredictedWeight != b.PredictedWeight {
 			t.Errorf("seed %d: beam(1) %d != greedy %d", seed, b.PredictedWeight, g.PredictedWeight)
 		}
@@ -20,9 +20,9 @@ func TestBeamNeverWorseThanGreedy(t *testing.T) {
 	// guarantees it never loses to the greedy construction.
 	for seed := int64(1); seed <= 6; seed++ {
 		mh := randomFermionic(5, 15, seed)
-		w1 := BuildBeam(mh, 1).PredictedWeight
+		w1 := run(t, Beam, mh, Options{Width: 1}).PredictedWeight
 		for _, width := range []int{2, 4, 8} {
-			if w := BuildBeam(mh, width).PredictedWeight; w > w1 {
+			if w := run(t, Beam, mh, Options{Width: width}).PredictedWeight; w > w1 {
 				t.Errorf("seed %d: beam(%d) %d worse than greedy %d", seed, width, w, w1)
 			}
 		}
@@ -31,7 +31,7 @@ func TestBeamNeverWorseThanGreedy(t *testing.T) {
 
 func TestBeamPreservesVacuumAndVerifies(t *testing.T) {
 	mh := randomFermionic(6, 18, 3)
-	res := BuildBeam(mh, 6)
+	res := run(t, Beam, mh, Options{Width: 6})
 	if err := res.Mapping.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +51,15 @@ func TestBeamFindsExhaustiveOptimumSometimes(t *testing.T) {
 	// vacuum-preserving optimum found by exhaustive search restricted to
 	// the same candidate rule — at minimum it must beat or match greedy.
 	mh := motivation()
-	greedy := Build(mh).PredictedWeight
-	beam := BuildBeam(mh, 16).PredictedWeight
+	greedy := run(t, Build, mh, Options{}).PredictedWeight
+	beam := run(t, Beam, mh, Options{Width: 16}).PredictedWeight
 	if beam > greedy {
 		t.Errorf("beam %d worse than greedy %d", beam, greedy)
 	}
 }
 
 func TestBeamEq3(t *testing.T) {
-	res := BuildBeam(eq3(), 4)
+	res := run(t, Beam, eq3(), Options{Width: 4})
 	if actual := res.Mapping.Apply(eq3()).Weight(); actual != res.PredictedWeight {
 		t.Errorf("predicted %d != actual %d", res.PredictedWeight, actual)
 	}

@@ -116,18 +116,17 @@ func TestBoundedSearchesAbandon(t *testing.T) {
 	tight := NewBound()
 	tight.Offer(1, 0) // no real mapping reaches weight 1
 
-	if _, err := BuildWithOptionsCtx(ctx, mh, BuildOptions{
-		NoMemo: true, Bound: tight, BoundPos: 1,
-	}); !errors.Is(err, ErrBounded) {
+	ResetBuildCache() // a memo hit would skip the bounded search
+	if _, err := Build(ctx, mh, Options{Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
 		t.Fatalf("hatt under a tight bound: err = %v, want ErrBounded", err)
 	}
-	if _, err := BuildUnoptCtx(ctx, mh, UnoptOptions{Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
+	if _, err := BuildUnopt(ctx, mh, Options{Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
 		t.Fatalf("unopt scan under a tight bound: err = %v, want ErrBounded", err)
 	}
-	if _, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 3, Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
+	if _, err := Beam(ctx, mh, Options{Width: 3, Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
 		t.Fatalf("beam under a tight bound: err = %v, want ErrBounded", err)
 	}
-	res, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 5000, Bound: tight, BoundPos: 1})
+	res, err := Anneal(ctx, mh, Options{Iters: 5000, Bound: tight, BoundPos: 1})
 	if err != nil || res == nil {
 		t.Fatalf("bounded anneal must still return its best-so-far, got (%v, %v)", res, err)
 	}
@@ -143,15 +142,15 @@ func TestBoundedSearchesIdenticalWhenWinning(t *testing.T) {
 	mh := boundTestModel(t, "molecule:8")
 	ctx := context.Background()
 
-	plain, err := BuildWithOptionsCtx(ctx, mh, BuildOptions{NoMemo: true})
+	ResetBuildCache()
+	plain, err := Build(ctx, mh, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loose := NewBound()
 	loose.Offer(plain.PredictedWeight+100, 3) // beatable incumbent
-	bounded, err := BuildWithOptionsCtx(ctx, mh, BuildOptions{
-		NoMemo: true, Bound: loose, BoundPos: 0,
-	})
+	ResetBuildCache()
+	bounded, err := Build(ctx, mh, Options{Bound: loose, BoundPos: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +158,13 @@ func TestBoundedSearchesIdenticalWhenWinning(t *testing.T) {
 		t.Fatal("winning bounded search diverged from the unbounded construction")
 	}
 
-	plainBeam, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 3})
+	plainBeam, err := Beam(ctx, mh, Options{Width: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loose2 := NewBound()
 	loose2.Offer(plainBeam.PredictedWeight+100, 3)
-	boundedBeam, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 3, Bound: loose2, BoundPos: 0})
+	boundedBeam, err := Beam(ctx, mh, Options{Width: 3, Bound: loose2, BoundPos: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestAnnealOnImprove(t *testing.T) {
 	mh := boundTestModel(t, "molecule:8")
 	var mu sync.Mutex
 	var weights []int
-	res, err := AnnealCtx(context.Background(), mh, AnnealOptions{
+	res, err := Anneal(context.Background(), mh, Options{
 		Iters: 20000,
 		Seed:  7,
 		OnImprove: func(r *Result) {

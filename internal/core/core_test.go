@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,17 @@ func motivation() *fermion.MajoranaHamiltonian {
 	}
 }
 
+// run calls a search with a background context and fails the test on
+// error.
+func run[R any](t testing.TB, search func(context.Context, *fermion.MajoranaHamiltonian, Options) (R, error), mh *fermion.MajoranaHamiltonian, opts Options) R {
+	t.Helper()
+	r, err := search(context.Background(), mh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // randomFermionic builds a seeded random Hermitian fermionic Hamiltonian.
 func randomFermionic(n int, terms int, seed int64) *fermion.MajoranaHamiltonian {
 	r := rand.New(rand.NewSource(seed))
@@ -57,7 +69,7 @@ func randomFermionic(n int, terms int, seed int64) *fermion.MajoranaHamiltonian 
 
 func TestBuildEq3FirstMergeMatchesPaper(t *testing.T) {
 	// The paper's first step picks O0, O1, O6 with settled weight 1.
-	res := Build(eq3())
+	res := run(t, Build, eq3(), Options{})
 	b := res.Tree
 	// Qubit-0 internal node is ID 2N+1 = 7; its children must be leaves
 	// 0 (X), 1 (Y), 6 (Z).
@@ -80,8 +92,7 @@ func TestPredictedWeightMatchesActual(t *testing.T) {
 		randomFermionic(6, 20, 3),
 	}
 	for ci, mh := range cases {
-		for _, build := range []func(*fermion.MajoranaHamiltonian) *Result{Build, BuildUnopt, BuildUncached} {
-			res := build(mh)
+		for _, res := range []*Result{run(t, Build, mh, Options{}), run(t, BuildUnopt, mh, Options{}), BuildUncached(mh)} {
 			actual := res.Mapping.Apply(mh).Weight()
 			if res.PredictedWeight != actual {
 				t.Errorf("case %d %s: predicted %d, actual %d",
@@ -94,7 +105,7 @@ func TestPredictedWeightMatchesActual(t *testing.T) {
 func TestBuildVerifiesAndPreservesVacuum(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		mh := randomFermionic(3+int(seed), 10, seed)
-		res := Build(mh)
+		res := run(t, Build, mh, Options{})
 		if err := res.Mapping.Verify(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -110,7 +121,7 @@ func TestBuildVerifiesAndPreservesVacuum(t *testing.T) {
 func TestBuildUnoptVerifies(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		mh := randomFermionic(4, 10, seed)
-		res := BuildUnopt(mh)
+		res := run(t, BuildUnopt, mh, Options{})
 		if err := res.Mapping.Verify(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -123,7 +134,7 @@ func TestBuildUnoptVerifies(t *testing.T) {
 func TestBuildUncachedIdenticalToBuild(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		mh := randomFermionic(5, 15, seed)
-		a := Build(mh)
+		a := run(t, Build, mh, Options{})
 		b := BuildUncached(mh)
 		if a.PredictedWeight != b.PredictedWeight {
 			t.Fatalf("seed %d: weights differ %d vs %d", seed, a.PredictedWeight, b.PredictedWeight)
@@ -142,7 +153,7 @@ func TestMotivationExampleBeatsBalanced(t *testing.T) {
 	mh := motivation()
 	btt := mapping.BalancedTernaryTree(3)
 	bttW := btt.Apply(mh).Weight()
-	res := BuildUnopt(mh)
+	res := run(t, BuildUnopt, mh, Options{})
 	if res.PredictedWeight > 3 {
 		t.Errorf("HATT-unopt weight %d, want ≤ 3 (paper's unbalanced tree)", res.PredictedWeight)
 	}
@@ -151,7 +162,7 @@ func TestMotivationExampleBeatsBalanced(t *testing.T) {
 	}
 	// The vacuum-preserving variant may pay a small penalty but must stay
 	// at or below the balanced tree.
-	resV := Build(mh)
+	resV := run(t, Build, mh, Options{})
 	if resV.PredictedWeight > bttW {
 		t.Errorf("HATT weight %d worse than BTT %d", resV.PredictedWeight, bttW)
 	}
@@ -160,7 +171,7 @@ func TestMotivationExampleBeatsBalanced(t *testing.T) {
 func TestEvaluateTreeConsistency(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		mh := randomFermionic(5, 12, seed)
-		res := Build(mh)
+		res := run(t, Build, mh, Options{})
 		if w := EvaluateTree(mh, res.Tree); w != res.PredictedWeight {
 			t.Errorf("seed %d: EvaluateTree %d != predicted %d", seed, w, res.PredictedWeight)
 		}
@@ -169,7 +180,7 @@ func TestEvaluateTreeConsistency(t *testing.T) {
 
 func TestExhaustiveOptimalOnSmallCases(t *testing.T) {
 	for _, mh := range []*fermion.MajoranaHamiltonian{eq3(), motivation(), randomFermionic(3, 6, 7)} {
-		ex := Exhaustive(mh, 0)
+		ex := run(t, Exhaustive, mh, Options{MaxVisits: 0})
 		if !ex.Optimal {
 			t.Fatal("unbudgeted exhaustive search should complete")
 		}
@@ -177,10 +188,10 @@ func TestExhaustiveOptimalOnSmallCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Optimal must be at least as good as both greedy variants.
-		if g := Build(mh); ex.PredictedWeight > g.PredictedWeight {
+		if g := run(t, Build, mh, Options{}); ex.PredictedWeight > g.PredictedWeight {
 			t.Errorf("exhaustive %d worse than greedy %d", ex.PredictedWeight, g.PredictedWeight)
 		}
-		if g := BuildUnopt(mh); ex.PredictedWeight > g.PredictedWeight {
+		if g := run(t, BuildUnopt, mh, Options{}); ex.PredictedWeight > g.PredictedWeight {
 			t.Errorf("exhaustive %d worse than greedy-unopt %d", ex.PredictedWeight, g.PredictedWeight)
 		}
 		if actual := ex.Mapping.Apply(mh).Weight(); actual != ex.PredictedWeight {
@@ -192,7 +203,7 @@ func TestExhaustiveOptimalOnSmallCases(t *testing.T) {
 func TestExhaustiveMotivationOptimum(t *testing.T) {
 	// For HF = c1·M0M5 + c2·M1M3 the optimum is weight 2 (each term can
 	// settle to a single-qubit Pauli).
-	ex := Exhaustive(motivation(), 0)
+	ex := run(t, Exhaustive, motivation(), Options{MaxVisits: 0})
 	if ex.PredictedWeight != 2 {
 		t.Errorf("optimum = %d, want 2", ex.PredictedWeight)
 	}
@@ -200,11 +211,11 @@ func TestExhaustiveMotivationOptimum(t *testing.T) {
 
 func TestExhaustiveBudgetFallsBackToGreedy(t *testing.T) {
 	mh := randomFermionic(4, 10, 11)
-	ex := Exhaustive(mh, 5) // tiny budget
+	ex := run(t, Exhaustive, mh, Options{MaxVisits: 5}) // tiny budget
 	if ex.Optimal {
 		t.Error("tiny budget should not prove optimality")
 	}
-	greedy := BuildUnopt(mh)
+	greedy := run(t, BuildUnopt, mh, Options{})
 	if ex.PredictedWeight > greedy.PredictedWeight {
 		t.Errorf("budgeted exhaustive %d worse than its greedy seed %d",
 			ex.PredictedWeight, greedy.PredictedWeight)
@@ -216,8 +227,8 @@ func TestExhaustiveBudgetFallsBackToGreedy(t *testing.T) {
 
 func TestAnnealImprovesOrMatchesGreedy(t *testing.T) {
 	mh := randomFermionic(5, 15, 4)
-	greedy := BuildUnopt(mh)
-	an := Anneal(mh, AnnealOptions{Iters: 3000, Seed: 3})
+	greedy := run(t, BuildUnopt, mh, Options{})
+	an := run(t, Anneal, mh, Options{Iters: 3000, Seed: 3})
 	if an.PredictedWeight > greedy.PredictedWeight {
 		t.Errorf("anneal %d worse than greedy start %d", an.PredictedWeight, greedy.PredictedWeight)
 	}
@@ -242,7 +253,7 @@ func TestSpectrumInvarianceHATTvsJW(t *testing.T) {
 		fermion.Op{Mode: 0}, fermion.Op{Mode: 2})
 	mh := h.Majorana(1e-14)
 	jw := mapping.JordanWigner(3).Apply(mh)
-	hatt := Build(mh).Mapping.Apply(mh)
+	hatt := run(t, Build, mh, Options{}).Mapping.Apply(mh)
 	evJW := linalg.EigenvaluesHermitian(linalg.Matrix(jw))
 	evHA := linalg.EigenvaluesHermitian(linalg.Matrix(hatt))
 	if !linalg.SpectraClose(evJW, evHA, 1e-7) {
@@ -259,7 +270,7 @@ func TestHATTBeatsOrMatchesBaselinesOnRandom(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		n := 4 + int(seed)%3
 		mh := randomFermionic(n, 14, seed)
-		hatt := Build(mh).PredictedWeight
+		hatt := run(t, Build, mh, Options{}).PredictedWeight
 		jw := mapping.JordanWigner(n).Apply(mh).Weight()
 		bk := mapping.BravyiKitaev(n).Apply(mh).Weight()
 		btt := mapping.BalancedTernaryTree(n).Apply(mh).Weight()

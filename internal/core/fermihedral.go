@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/fermion"
-	"repro/internal/mapping"
 )
 
 // ExhaustiveResult reports the outcome of the Fermihedral-substitute
@@ -20,26 +19,19 @@ type ExhaustiveResult struct {
 	Visited int64
 }
 
-// Exhaustive runs ExhaustiveCtx with a background context; it never fails.
-func Exhaustive(mh *fermion.MajoranaHamiltonian, maxVisits int64) *ExhaustiveResult {
-	//hatt:lint-ignore ctxflow compat wrapper: the Ctx variant is the library API
-	res, _ := ExhaustiveCtx(context.Background(), mh, maxVisits)
-	return res
-}
-
-// ExhaustiveCtx searches the entire ternary-tree fermion-to-qubit mapping
+// Exhaustive searches the entire ternary-tree fermion-to-qubit mapping
 // space for the Hamiltonian-minimal Pauli weight, standing in for the
 // Fermihedral SAT baseline. It explores all sequences of 3-subset merges
 // with branch-and-bound on the accumulated settled weight, plus sibling
 // deduplication (candidates whose term bitsets coincide are
 // interchangeable). Complexity is super-exponential in N — by design: the
-// scalability wall is part of what Figure 12 reproduces. maxVisits bounds
-// the number of explored merge states (≤ 0 means unlimited).
+// scalability wall is part of what Figure 12 reproduces.
 //
-// The context is checked on every visited search state; on cancellation
-// the recursion unwinds within one state expansion and (nil, ctx.Err())
-// is returned.
-func ExhaustiveCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, maxVisits int64) (*ExhaustiveResult, error) {
+// It reads only MaxVisits, the bound on explored merge states (≤ 0 means
+// unlimited). The context is checked on every visited search state; on
+// cancellation the recursion unwinds within one state expansion and
+// (nil, ctx.Err()) is returned.
+func Exhaustive(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*ExhaustiveResult, error) {
 	p := newProblem(mh)
 	n := p.n
 	s := &exhaustiveState{
@@ -49,15 +41,18 @@ func ExhaustiveCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, maxVisi
 		u:         make([]int, 2*n+1),
 		merges:    make([][3]int, n),
 		best:      int(^uint(0) >> 1),
-		maxVisits: maxVisits,
+		maxVisits: opts.MaxVisits,
 	}
 	for id := 0; id <= 2*n; id++ {
-		s.bits[id] = p.leafBits[id].clone()
+		s.bits[id] = p.leafBits[id]
 		s.u[id] = id
 	}
 	// Seed with the greedy Algorithm-1 solution: guarantees a result even
 	// under a visit budget and tightens the branch-and-bound from the start.
-	seed := buildUnoptBuilder(newProblem(mh))
+	seed, err := buildUnoptScan(ctx, p, Options{})
+	if err != nil {
+		return nil, err
+	}
 	s.best = seed.predicted + 1 // strict bound: keep seed unless beaten
 	s.bestMerges = make([][3]int, len(seed.log))
 	copy(s.bestMerges, seed.log)
@@ -67,22 +62,12 @@ func ExhaustiveCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, maxVisi
 	}
 	s.complete = !s.exhausted
 
-	// Rebuild the best merge sequence into a tree via the shared builder.
-	b := newBuilder(p)
-	for i, m := range s.bestMerges {
-		b.merge(i, m[0], m[1], m[2])
-	}
-	t := b.finish()
 	name := "FH"
 	if !s.complete {
 		name = "FH*"
 	}
 	return &ExhaustiveResult{
-		Result: Result{
-			Mapping:         mapping.FromTreeByLeafID(name, t),
-			Tree:            t,
-			PredictedWeight: b.predicted,
-		},
+		Result:  *rebuild(p, s.bestMerges).result(name),
 		Optimal: s.complete,
 		Visited: s.visited,
 	}, nil

@@ -37,55 +37,43 @@ func goldenInputs(t *testing.T) []goldenInput {
 	return append(in, goldenInput{"eq3", eq3()}, goldenInput{"motivation", motivation()})
 }
 
-// goldenSearch runs one search configuration; extra carries outputs
+// goldenSearch is one search configuration; extra carries outputs
 // beyond the mapping (the exhaustive search's optimality and visits).
 type goldenSearch struct {
 	name     string
 	maxModes int // 0: every input
-	run      func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (res *Result, extra string, err error)
+	search   func(context.Context, *fermion.MajoranaHamiltonian, Options) (*Result, error)
+	opts     Options
 }
 
 func goldenSearches() []goldenSearch {
-	plain := func(f func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, error)) func(context.Context, *fermion.MajoranaHamiltonian) (*Result, string, error) {
-		return func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, string, error) {
-			r, err := f(ctx, mh)
-			return r, "", err
-		}
-	}
-	var out []goldenSearch
-	for _, tb := range []struct {
-		name string
-		tb   TieBreak
-	}{{"first", TieFirst}, {"depth", TieDepth}, {"support", TieSupport}} {
-		tb := tb
-		out = append(out, goldenSearch{name: "build-" + tb.name, run: plain(func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, error) {
-			return BuildWithOptionsCtx(ctx, mh, BuildOptions{TieBreak: tb.tb})
-		})})
+	out := []goldenSearch{
+		{name: "build-first", search: Build, opts: Options{TieBreak: TieFirst}},
+		{name: "build-depth", search: Build, opts: Options{TieBreak: TieDepth}},
+		{name: "build-support", search: Build, opts: Options{TieBreak: TieSupport}},
+		{name: "unopt", search: BuildUnopt},
+		{name: "anneal", search: Anneal, opts: Options{Iters: 400, Seed: 3, Restarts: 2, Workers: 2}},
+		{name: "exhaustive", maxModes: 6, opts: Options{MaxVisits: 20_000}},
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		w := w
 		// TieSupport is set on purpose: beam search and its greedy
 		// incumbent ignore the tie-break and must stay first-found.
-		out = append(out, goldenSearch{name: fmt.Sprintf("beam%d", w), run: plain(func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, error) {
-			return BuildBeamOpts(ctx, mh, BeamOptions{Width: w})
-		})})
+		out = append(out, goldenSearch{name: fmt.Sprintf("beam%d", w), search: Beam, opts: Options{Width: w, TieBreak: TieSupport}})
 	}
-	out = append(out,
-		goldenSearch{name: "unopt", run: plain(func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, error) {
-			return BuildUnoptCtx(ctx, mh, UnoptOptions{})
-		})},
-		goldenSearch{name: "anneal", run: plain(func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, error) {
-			return AnnealCtx(ctx, mh, AnnealOptions{Iters: 400, Seed: 3, Restarts: 2, Workers: 2})
-		})},
-		goldenSearch{name: "exhaustive", maxModes: 6, run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, string, error) {
-			r, err := ExhaustiveCtx(ctx, mh, 20_000)
-			if err != nil {
-				return nil, "", err
-			}
-			return &r.Result, fmt.Sprintf("optimal=%v visited=%d", r.Optimal, r.Visited), nil
-		}},
-	)
 	return out
+}
+
+// run executes the search, returning its result and extra output.
+func (s goldenSearch) run(ctx context.Context, mh *fermion.MajoranaHamiltonian) (*Result, string, error) {
+	if s.search != nil {
+		r, err := s.search(ctx, mh, s.opts)
+		return r, "", err
+	}
+	r, err := Exhaustive(ctx, mh, s.opts)
+	if err != nil {
+		return nil, "", err
+	}
+	return &r.Result, fmt.Sprintf("optimal=%v visited=%d", r.Optimal, r.Visited), nil
 }
 
 // goldenDigest hashes a result's mapping (name and every Majorana string
@@ -149,8 +137,8 @@ func TestSearchesGolden(t *testing.T) {
 	}
 }
 
-// goldenWant holds the values every search produced before the searches
-// shared one entry point and one construction state.
+// goldenWant is the expected output of every case; a change to any entry
+// is a change in what a search returns.
 var goldenWant = map[string]string{
 	"eq3/anneal":                 "5 724336f6e80ac296",
 	"eq3/beam1":                  "5 1e8306e04f42025a",

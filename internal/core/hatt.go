@@ -24,58 +24,21 @@ type Result struct {
 // the same candidates six times each) and merges the subset minimizing the
 // Pauli weight settled on that step's qubit. O(N⁴) overall. The resulting
 // mapping is *not* vacuum-state preserving in general.
-func BuildUnopt(mh *fermion.MajoranaHamiltonian) *Result {
-	//hatt:lint-ignore ctxflow compat wrapper: the Ctx variant is the library API
-	res, err := BuildUnoptCtx(context.Background(), mh, UnoptOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// UnoptOptions configures BuildUnoptCtx.
-type UnoptOptions struct {
-	// Bound, when non-nil, is a shared portfolio incumbent consulted once
-	// per construction step: the scan returns ErrBounded as soon as the
-	// accumulated settled weight proves the final mapping cannot win the
-	// lexicographic (weight, BoundPos) race. Abandonment is all-or-nothing
-	// — the pairwise-delta prune and triple selection are untouched — so
-	// the portfolio winner stays byte-identical at any timing.
-	Bound *Bound
-	// BoundPos is this search's position in the portfolio's canonical
-	// racer order, the tie-break key of the (weight, position) race.
-	BoundPos int
-}
-
-// BuildUnoptCtx is BuildUnopt with context cancellation (checked once per
-// construction step) and optional portfolio-bound abandonment.
-func BuildUnoptCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts UnoptOptions) (*Result, error) {
+//
+// It reads Bound and BoundPos. The context and the bound are checked once
+// per construction step; against the bound, the accumulated settled
+// weight is the lower bound, and a lost race returns ErrBounded.
+func BuildUnopt(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
 	b, err := buildUnoptScan(ctx, newProblem(mh), opts)
 	if err != nil {
 		return nil, err
 	}
-	t := b.finish()
-	return &Result{
-		Mapping:         mapping.FromTreeByLeafID("HATT-unopt", t),
-		Tree:            t,
-		PredictedWeight: b.predicted,
-	}, nil
+	return b.result("HATT-unopt"), nil
 }
 
-// buildUnoptBuilder is the context-free pruned scan, kept for callers
-// with no cancellation surface (differential tests, the exhaustive-search
-// seed). It cannot fail: with no context and no bound there is no early
-// exit.
-func buildUnoptBuilder(p *problem) *builder {
-	//hatt:lint-ignore ctxflow compat wrapper: the ctx-aware scan is the library path
-	b, err := buildUnoptScan(context.Background(), p, UnoptOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-func buildUnoptScan(ctx context.Context, p *problem, opts UnoptOptions) (*builder, error) {
+// buildUnoptScan is BuildUnopt's pruned scan. It returns the builder, so
+// the searches seeded with Algorithm 1 can reuse its merge log or tree.
+func buildUnoptScan(ctx context.Context, p *problem, opts Options) (*builder, error) {
 	b := newBuilder(p)
 	n := p.n
 	// Pairwise symmetric-difference popcounts over all node IDs, filled
@@ -168,34 +131,100 @@ func buildUnoptReference(p *problem) *builder {
 // It exists for differential tests and before/after benchmarks; use
 // BuildUnopt everywhere else.
 func BuildUnoptReference(mh *fermion.MajoranaHamiltonian) *Result {
-	b := buildUnoptReference(newProblem(mh))
-	t := b.finish()
-	return &Result{
-		Mapping:         mapping.FromTreeByLeafID("HATT-unopt", t),
-		Tree:            t,
-		PredictedWeight: b.predicted,
-	}
+	return buildUnoptReference(newProblem(mh)).result("HATT-unopt")
 }
 
 // Build runs the optimized HATT construction (Algorithms 2 and 3): at each
 // step only (O_X, O_Z) pairs are enumerated, with O_Y derived from the
-// Z-descendant caches so that the X child's Z-descendant leaf 2l pairs with
-// leaf 2l+1 under the Y child. This guarantees every Majorana pair
+// Z-descendant caches so that the X child's Z-descendant leaf 2l pairs
+// with leaf 2l+1 under the Y child. This guarantees every Majorana pair
 // (M_2l, M_2l+1) shares an (X,Y) letter pair on one qubit and acts
 // |0⟩-equivalently elsewhere — vacuum-state preservation — while keeping
 // the greedy weight minimization. O(N³) overall.
 //
-// Candidate enumeration detail: the paper iterates ordered (O_X, O_Z) pairs
-// and swaps roles when descZ(O_X) is odd; the swapped triple coincides with
-// the triple generated directly from the even-descendant partner, so this
-// implementation enumerates only nodes with even Z-descendants (≠ 2N) as
-// O_X, visiting the same candidate set once.
-// Build memoizes completed constructions (see memo.go): repeated calls
-// on an identical Hamiltonian replay the cached merge schedule instead of
-// re-running the greedy search, returning a fresh tree and mapping each
-// time. BuildUncached additionally skips the memo.
-func Build(mh *fermion.MajoranaHamiltonian) *Result {
-	return BuildWithOptions(mh, BuildOptions{})
+// It reads TieBreak, Workers, Bound and BoundPos. The selected merges —
+// and hence the mapping — are identical at every worker count. The
+// context and the bound are checked once per construction step; against
+// the bound, the accumulated settled weight is the lower bound, and a
+// lost race returns ErrBounded.
+//
+// Completed constructions are memoized (see memo.go): repeated calls on
+// an identical Hamiltonian and tie-break replay the cached merge schedule
+// instead of re-running the greedy search, returning a fresh tree and
+// mapping each time. Callers that time the search call ResetBuildCache
+// first.
+func Build(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+	canon := canonicalKey(mh)
+	key := buildMemoKey{fp: fingerprint(canon), tb: opts.TieBreak}
+	e, hit, release, err := memoAcquire(ctx, key, canon)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		return e.replay(mh), nil
+	}
+	defer release()
+	buildSearches.Add(1)
+	b := newBuilder(newProblem(mh))
+	n := b.p.n
+	depth := make([]int, 3*n+1) // leaves depth 0
+	var cands []triple
+	var scores []int
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// b.predicted only grows, so once it proves the race lost the whole
+		// search is abandoned (never stored in the memo: the release above
+		// wakes any waiter to take over the construction).
+		if opts.Bound.Unbeatable(b.predicted, opts.BoundPos) {
+			return nil, ErrBounded
+		}
+		cands = b.candidates(cands[:0])
+		if len(cands) == 0 {
+			panic("core: no valid vacuum-preserving selection (invariant violated)")
+		}
+		// Score in parallel (settledWeight dominates the step and only
+		// reads builder state)...
+		if cap(scores) < len(cands) {
+			scores = make([]int, len(cands))
+		}
+		scores = scores[:len(cands)]
+		if err := scoreChunks(ctx, len(cands), opts.Workers, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				c := cands[j]
+				scores[j] = settledWeight(b.bits[c.x], b.bits[c.y], b.bits[c.z])
+			}
+		}); err != nil {
+			return nil, err
+		}
+		// ...and reduce in enumeration order, so ties resolve exactly as
+		// the sequential scan would at any worker count.
+		bestW := int(^uint(0) >> 1)
+		bestTie := int(^uint(0) >> 1)
+		bestIdx := -1
+		for j, c := range cands {
+			w := scores[j]
+			if w > bestW {
+				continue
+			}
+			tie := 0
+			switch opts.TieBreak {
+			case TieDepth:
+				tie = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
+			case TieSupport:
+				tie = parentSupport(b.bits[c.x], b.bits[c.y], b.bits[c.z])
+			}
+			if w < bestW || tie < bestTie {
+				bestW, bestTie, bestIdx = w, tie, j
+			}
+		}
+		c := cands[bestIdx]
+		depth[2*n+1+i] = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
+		b.merge(i, c.x, c.y, c.z)
+	}
+	memoStore(key, canon, b.log)
+	return b.result("HATT"), nil
 }
 
 // BuildUncached runs Algorithm 2 *without* the Algorithm 3 caches: the
@@ -206,8 +235,10 @@ func BuildUncached(mh *fermion.MajoranaHamiltonian) *Result {
 	p := newProblem(mh)
 	b := newBuilder(p)
 	n := p.n
+	nodes := make([]*tree.Node, 3*n+1)
 	inU := make([]bool, 3*n+1)
 	for _, id := range b.u {
+		nodes[id] = &tree.Node{ID: id}
 		inU[id] = true
 	}
 	for i := 0; i < n; i++ {
@@ -215,12 +246,12 @@ func BuildUncached(mh *fermion.MajoranaHamiltonian) *Result {
 		var bx, by, bz int
 		found := false
 		for _, ox := range b.u {
-			x := b.nodes[ox].DescZ().ID // O(depth) walk down
+			x := nodes[ox].DescZ().ID // O(depth) walk down
 			if x%2 == 1 || x == 2*n {
 				continue
 			}
 			// O(depth) walk up from leaf x+1 to its ancestor in U.
-			anc := b.nodes[x+1]
+			anc := nodes[x+1]
 			for !inU[anc.ID] {
 				anc = anc.Parent
 			}
@@ -243,14 +274,12 @@ func BuildUncached(mh *fermion.MajoranaHamiltonian) *Result {
 		if !found {
 			panic("core: no valid vacuum-preserving selection (invariant violated)")
 		}
+		pid := 2*n + 1 + i
+		nodes[pid] = &tree.Node{ID: pid, Qubit: i}
+		nodes[pid].SetChildren(nodes[bx], nodes[by], nodes[bz])
 		inU[bx], inU[by], inU[bz] = false, false, false
-		inU[2*n+1+i] = true
+		inU[pid] = true
 		b.merge(i, bx, by, bz)
 	}
-	t := b.finish()
-	return &Result{
-		Mapping:         mapping.FromTreeByLeafID("HATT-uncached", t),
-		Tree:            t,
-		PredictedWeight: b.predicted,
-	}
+	return b.result("HATT-uncached")
 }

@@ -18,7 +18,7 @@ func TestBuildInvariantsProperty(t *testing.T) {
 		if len(mh.Terms) == 0 {
 			return true
 		}
-		res := Build(mh)
+		res := run(t, Build, mh, Options{})
 		if err := res.Mapping.Verify(); err != nil {
 			return false
 		}
@@ -47,15 +47,15 @@ func TestOptimizerChainProperty(t *testing.T) {
 		if len(mh.Terms) == 0 {
 			return true
 		}
-		ex := Exhaustive(mh, 0)
+		ex := run(t, Exhaustive, mh, Options{MaxVisits: 0})
 		if !ex.Optimal {
 			return false
 		}
 		for _, w := range []int{
-			Build(mh).PredictedWeight,
-			BuildUnopt(mh).PredictedWeight,
-			BuildBeam(mh, 4).PredictedWeight,
-			Anneal(mh, AnnealOptions{Iters: 300, Seed: seed + 1}).PredictedWeight,
+			run(t, Build, mh, Options{}).PredictedWeight,
+			run(t, BuildUnopt, mh, Options{}).PredictedWeight,
+			run(t, Beam, mh, Options{Width: 4}).PredictedWeight,
+			run(t, Anneal, mh, Options{Iters: 300, Seed: seed + 1}).PredictedWeight,
 		} {
 			if ex.PredictedWeight > w {
 				return false
@@ -73,7 +73,7 @@ func TestEvaluateTreeLowerBoundedByExhaustive(t *testing.T) {
 	// optimum.
 	r := rand.New(rand.NewSource(17))
 	mh := randomFermionic(4, 10, 17)
-	ex := Exhaustive(mh, 0)
+	ex := run(t, Exhaustive, mh, Options{MaxVisits: 0})
 	for trial := 0; trial < 20; trial++ {
 		tr := randomCompleteTree(r, 4)
 		if w := EvaluateTree(mh, tr); w < ex.PredictedWeight {
@@ -105,11 +105,11 @@ func randomCompleteTree(r *rand.Rand, n int) *tree.Tree {
 func TestConstructionsDeterministic(t *testing.T) {
 	mh := randomFermionic(5, 14, 9)
 	for name, build := range map[string]func() int{
-		"Build":      func() int { return Build(mh).PredictedWeight },
-		"BuildUnopt": func() int { return BuildUnopt(mh).PredictedWeight },
-		"Beam4":      func() int { return BuildBeam(mh, 4).PredictedWeight },
-		"Exhaustive": func() int { return Exhaustive(mh, 10000).PredictedWeight },
-		"TieSupport": func() int { return BuildWithOptions(mh, BuildOptions{TieBreak: TieSupport}).PredictedWeight },
+		"Build":      func() int { return run(t, Build, mh, Options{}).PredictedWeight },
+		"BuildUnopt": func() int { return run(t, BuildUnopt, mh, Options{}).PredictedWeight },
+		"Beam4":      func() int { return run(t, Beam, mh, Options{Width: 4}).PredictedWeight },
+		"Exhaustive": func() int { return run(t, Exhaustive, mh, Options{MaxVisits: 10000}).PredictedWeight },
+		"TieSupport": func() int { return run(t, Build, mh, Options{TieBreak: TieSupport}).PredictedWeight },
 	} {
 		a, b := build(), build()
 		if a != b {
@@ -121,7 +121,7 @@ func TestConstructionsDeterministic(t *testing.T) {
 func TestSingleModeSystems(t *testing.T) {
 	// Degenerate n=1: one merge of the three leaves; everything must hold.
 	mh := randomFermionic(1, 3, 2)
-	for _, res := range []*Result{Build(mh), BuildUnopt(mh), BuildBeam(mh, 2)} {
+	for _, res := range []*Result{run(t, Build, mh, Options{}), run(t, BuildUnopt, mh, Options{}), run(t, Beam, mh, Options{Width: 2})} {
 		if err := res.Mapping.Verify(); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSingleModeSystems(t *testing.T) {
 			t.Fatal("wrong tree size")
 		}
 	}
-	ex := Exhaustive(mh, 0)
+	ex := run(t, Exhaustive, mh, Options{MaxVisits: 0})
 	if !ex.Optimal {
 		t.Fatal("n=1 exhaustive must complete")
 	}
@@ -139,7 +139,7 @@ func TestEmptyHamiltonian(t *testing.T) {
 	// A Hamiltonian with no terms still yields a valid mapping (any tree
 	// works; weight 0).
 	mh := randomFermionic(3, 0, 1)
-	res := Build(mh)
+	res := run(t, Build, mh, Options{})
 	if res.PredictedWeight != 0 {
 		t.Errorf("weight = %d, want 0", res.PredictedWeight)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fermion"
 	"repro/internal/lru"
-	"repro/internal/mapping"
 )
 
 // The build memo caches completed HATT constructions so repeated
@@ -173,14 +172,5 @@ func memoStore(key buildMemoKey, canon []int, log [][3]int) {
 // replay reconstructs a Result from a cached merge schedule through a
 // fresh builder, so each caller gets an independent tree and mapping.
 func (e buildMemoEntry) replay(mh *fermion.MajoranaHamiltonian) *Result {
-	b := newBuilder(newProblem(mh))
-	for i, m := range e.merges {
-		b.merge(i, m[0], m[1], m[2])
-	}
-	t := b.finish()
-	return &Result{
-		Mapping:         mapping.FromTreeByLeafID("HATT", t),
-		Tree:            t,
-		PredictedWeight: b.predicted,
-	}
+	return rebuild(newProblem(mh), e.merges).result("HATT")
 }

@@ -74,14 +74,14 @@ func TestBuildMemoHitAfterEvictionChurn(t *testing.T) {
 	mh := h.Majorana(1e-12)
 
 	before := buildSearches.Load()
-	if _, err := BuildWithOptionsCtx(context.Background(), mh, BuildOptions{}); err != nil {
+	if _, err := Build(context.Background(), mh, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Churn the memo without filling it: the real entry must survive.
 	for i := 0; i < buildMemoLimit/2; i++ {
 		memoStore(buildMemoKey{fp: ^uint64(i), tb: TieFirst}, []int{-i - 1}, nil)
 	}
-	if _, err := BuildWithOptionsCtx(context.Background(), mh, BuildOptions{}); err != nil {
+	if _, err := Build(context.Background(), mh, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := buildSearches.Load() - before; got != 1 {

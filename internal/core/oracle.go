@@ -9,9 +9,12 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/fermion"
+	"repro/internal/mapping"
+	"repro/internal/parallel"
 	"repro/internal/tree"
 )
 
@@ -21,25 +24,26 @@ type termBits []uint64
 
 func newTermBits(words int) termBits { return make(termBits, words) }
 
-func (b termBits) clone() termBits {
-	c := make(termBits, len(b))
-	copy(c, b)
-	return c
-}
-
 func (b termBits) set(t int) { b[t/64] |= 1 << uint(t%64) }
-
-func (b termBits) xorInto(dst termBits, other termBits) {
-	for i := range dst {
-		dst[i] = b[i] ^ other[i]
-	}
-}
 
 // scoreFanoutCutoff is the candidate count below which the search
 // methods keep scoring sequential: dispatching a pool over a few dozen
 // settledWeight calls costs more than the calls themselves. Above it,
 // the per-chunk work dwarfs the dispatch.
 const scoreFanoutCutoff = 256
+
+// scoreChunks runs score over contiguous chunks of [0, n) candidates on
+// up to workers goroutines, sequentially below scoreFanoutCutoff. score
+// must only read shared search state and write its own indices.
+func scoreChunks(ctx context.Context, n, workers int, score func(lo, hi int)) error {
+	if n < scoreFanoutCutoff {
+		workers = 1 // dispatch would cost more than the scoring
+	}
+	return parallel.ForEachChunk(ctx, n, max(1, workers), func(lo, hi int) error {
+		score(lo, hi)
+		return nil
+	})
+}
 
 // settledWeight computes the Pauli weight contributed on one qubit when
 // nodes with term-membership bitsets bx, by, bz become its X, Y, Z
@@ -132,13 +136,16 @@ func (p *problem) evaluateTree(t *tree.Tree) int {
 	return total
 }
 
-// builder holds the mutable bottom-up construction state shared by
-// Algorithm 1 and Algorithm 2+3.
+// builder holds the bottom-up construction state shared by every
+// search in this package: Algorithm 1, Algorithm 2+3, and each entry of
+// a beam. It records merges and assembles the tree only in finish, so a
+// beam entry is a clone.
 type builder struct {
-	p     *problem
-	bits  []termBits   // node ID -> term bitset (active and historical)
-	nodes []*tree.Node // node ID -> node
-	u     []int        // active node IDs, ascending
+	p *problem
+	// bits maps node ID to its term bitset (active and historical). A
+	// bitset is never mutated once stored, so clones share them.
+	bits []termBits
+	u    []int // active node IDs, ascending
 	// Z-descendant caches (Algorithm 3).
 	mdown []int // node ID -> descZ leaf ID
 	mup   []int // leaf ID -> its ancestor in U
@@ -154,14 +161,13 @@ func newBuilder(p *problem) *builder {
 	b := &builder{
 		p:     p,
 		bits:  make([]termBits, 3*n+1),
-		nodes: make([]*tree.Node, 3*n+1),
 		u:     make([]int, 2*n+1),
 		mdown: make([]int, 3*n+1),
 		mup:   make([]int, 2*n+1),
+		log:   make([][3]int, 0, n),
 	}
 	for id := 0; id <= 2*n; id++ {
-		b.bits[id] = p.leafBits[id].clone()
-		b.nodes[id] = &tree.Node{ID: id}
+		b.bits[id] = p.leafBits[id]
 		b.u[id] = id
 		b.mdown[id] = id
 		b.mup[id] = id
@@ -169,15 +175,59 @@ func newBuilder(p *problem) *builder {
 	return b
 }
 
-// removeFromU deletes one ID from the active set, preserving order.
-func (b *builder) removeFromU(id int) {
-	for i, v := range b.u {
-		if v == id {
-			b.u = append(b.u[:i], b.u[i+1:]...)
-			return
+// rebuild replays a merge schedule through a fresh builder.
+func rebuild(p *problem, merges [][3]int) *builder {
+	b := newBuilder(p)
+	for i, m := range merges {
+		b.merge(i, m[0], m[1], m[2])
+	}
+	return b
+}
+
+// clone returns an independent copy of the construction state.
+func (b *builder) clone() *builder {
+	c := *b
+	c.bits = append([]termBits(nil), b.bits...)
+	c.u = append([]int(nil), b.u...)
+	c.mdown = append([]int(nil), b.mdown...)
+	c.mup = append([]int(nil), b.mup...)
+	c.log = append(make([][3]int, 0, cap(b.log)), b.log...)
+	return &c
+}
+
+// triple is one candidate merge: the nodes that would become the X, Y
+// and Z children of the step's new internal node.
+type triple struct{ x, y, z int }
+
+// candidates appends the step's vacuum-preserving candidate merges
+// (Algorithm 2) to dst in enumeration order: only (O_X, O_Z) pairs are
+// enumerated, with O_Y derived from the Z-descendant caches so that the X
+// child's Z-descendant leaf 2l pairs with leaf 2l+1 under the Y child.
+//
+// The paper iterates ordered (O_X, O_Z) pairs and swaps roles when
+// descZ(O_X) is odd; the swapped triple coincides with the triple
+// generated directly from the even-descendant partner, so only nodes with
+// even Z-descendants (≠ 2N) are enumerated as O_X, visiting the same
+// candidate set once.
+func (b *builder) candidates(dst []triple) []triple {
+	n := b.p.n
+	for _, ox := range b.u {
+		x := b.mdown[ox]
+		if x%2 == 1 || x == 2*n {
+			continue
+		}
+		oy := b.mup[x+1]
+		if oy == ox {
+			continue
+		}
+		for _, oz := range b.u {
+			if oz == ox || oz == oy {
+				continue
+			}
+			dst = append(dst, triple{ox, oy, oz})
 		}
 	}
-	panic("core: node not in U")
+	return dst
 }
 
 // merge performs the step-i update (Algorithm 1 lines 13–16 plus the
@@ -185,12 +235,7 @@ func (b *builder) removeFromU(id int) {
 // new internal node for qubit i, and the Hamiltonian reduces by settling
 // qubit i.
 func (b *builder) merge(i, ox, oy, oz int) {
-	n := b.p.n
-	pid := 2*n + 1 + i
-	parent := &tree.Node{ID: pid, Qubit: i}
-	parent.SetChildren(b.nodes[ox], b.nodes[oy], b.nodes[oz])
-	b.nodes[pid] = parent
-
+	pid := 2*b.p.n + 1 + i
 	b.predicted += settledWeight(b.bits[ox], b.bits[oy], b.bits[oz])
 
 	pb := newTermBits(b.p.words)
@@ -199,10 +244,16 @@ func (b *builder) merge(i, ox, oy, oz int) {
 	}
 	b.bits[pid] = pb
 
-	b.removeFromU(ox)
-	b.removeFromU(oy)
-	b.removeFromU(oz)
-	b.u = append(b.u, pid) // pid exceeds all current members: stays sorted
+	u := b.u[:0]
+	for _, v := range b.u {
+		if v != ox && v != oy && v != oz {
+			u = append(u, v)
+		}
+	}
+	if len(u) != len(b.u)-3 {
+		panic("core: node not in U")
+	}
+	b.u = append(u, pid) // pid exceeds all current members: stays sorted
 
 	// O(1) cache update: the parent inherits the Z child's Z-descendant.
 	zd := b.mdown[oz]
@@ -212,13 +263,34 @@ func (b *builder) merge(i, ox, oy, oz int) {
 	b.log = append(b.log, [3]int{ox, oy, oz})
 }
 
-// finish assembles the completed tree once U has collapsed to the root.
+// finish assembles the completed tree from the merge log once U has
+// collapsed to the root.
 func (b *builder) finish() *tree.Tree {
 	if len(b.u) != 1 {
 		panic("core: construction incomplete")
 	}
 	n := b.p.n
-	t := &tree.Tree{N: n, Root: b.nodes[b.u[0]], Leaves: make([]*tree.Node, 2*n+1)}
-	copy(t.Leaves, b.nodes[:2*n+1])
+	nodes := make([]*tree.Node, 3*n+1)
+	for id := 0; id <= 2*n; id++ {
+		nodes[id] = &tree.Node{ID: id}
+	}
+	for i, m := range b.log {
+		pid := 2*n + 1 + i
+		parent := &tree.Node{ID: pid, Qubit: i}
+		parent.SetChildren(nodes[m[0]], nodes[m[1]], nodes[m[2]])
+		nodes[pid] = parent
+	}
+	t := &tree.Tree{N: n, Root: nodes[b.u[0]], Leaves: make([]*tree.Node, 2*n+1)}
+	copy(t.Leaves, nodes[:2*n+1])
 	return t
+}
+
+// result assembles the finished construction into a named Result.
+func (b *builder) result(name string) *Result {
+	t := b.finish()
+	return &Result{
+		Mapping:         mapping.FromTreeByLeafID(name, t),
+		Tree:            t,
+		PredictedWeight: b.predicted,
+	}
 }

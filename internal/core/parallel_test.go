@@ -20,13 +20,14 @@ func mappingBytes(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
-func TestBuildWithOptionsMatchesBuildAtAnyWorkerCount(t *testing.T) {
-	ResetBuildCache()
+func TestBuildIdenticalAtAnyWorkerCount(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		mh := randomFermionic(5, 15, seed)
-		want := BuildWithOptions(mh, BuildOptions{NoMemo: true})
+		ResetBuildCache()
+		want := run(t, Build, mh, Options{})
 		for _, workers := range []int{1, 2, 8} {
-			got := BuildWithOptions(mh, BuildOptions{Workers: workers, NoMemo: true})
+			ResetBuildCache() // search at this worker count, not a memo replay
+			got := run(t, Build, mh, Options{Workers: workers})
 			if got.PredictedWeight != want.PredictedWeight {
 				t.Fatalf("seed %d workers %d: weight %d, want %d",
 					seed, workers, got.PredictedWeight, want.PredictedWeight)
@@ -43,12 +44,12 @@ func TestBuildBeamDeterministicAcrossWorkerCounts(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		mh := randomFermionic(5, 15, seed)
-		want, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 4, Workers: 1})
+		want, err := Beam(ctx, mh, Options{Width: 4, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 4, Workers: workers})
+			got, err := Beam(ctx, mh, Options{Width: 4, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,11 +61,11 @@ func TestBuildBeamDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestBuildBeamOptsCancellation(t *testing.T) {
+func TestBeamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mh := randomFermionic(5, 15, 1)
-	if _, err := BuildBeamOpts(ctx, mh, BeamOptions{Width: 4, Workers: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := Beam(ctx, mh, Options{Width: 4, Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -72,15 +73,15 @@ func TestBuildBeamOptsCancellation(t *testing.T) {
 func TestAnnealRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 	ctx := context.Background()
 	mh := randomFermionic(4, 10, 1)
-	base := AnnealOptions{Iters: 400, Seed: 7, Restarts: 4}
-	want, err := AnnealCtx(ctx, mh, func() AnnealOptions { o := base; o.Workers = 1; return o }())
+	base := Options{Iters: 400, Seed: 7, Restarts: 4}
+	want, err := Anneal(ctx, mh, func() Options { o := base; o.Workers = 1; return o }())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		o := base
 		o.Workers = workers
-		got, err := AnnealCtx(ctx, mh, o)
+		got, err := Anneal(ctx, mh, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestAnnealSingleRestartMatchesLegacySeed(t *testing.T) {
 	// the caller's seed.
 	ctx := context.Background()
 	mh := randomFermionic(4, 10, 2)
-	a, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 300, Seed: 5})
+	a, err := Anneal(ctx, mh, Options{Iters: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 300, Seed: 5, Restarts: 1, Workers: 8})
+	b, err := Anneal(ctx, mh, Options{Iters: 300, Seed: 5, Restarts: 1, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestAnnealSingleRestartMatchesLegacySeed(t *testing.T) {
 func TestAnnealRestartsNeverWorseThanSingleChain(t *testing.T) {
 	ctx := context.Background()
 	mh := randomFermionic(4, 12, 3)
-	single, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 400, Seed: 1})
+	single, err := Anneal(ctx, mh, Options{Iters: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 400, Seed: 1, Restarts: 6, Workers: 3})
+	multi, err := Anneal(ctx, mh, Options{Iters: 400, Seed: 1, Restarts: 6, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +131,15 @@ func TestAnnealRestartsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mh := randomFermionic(4, 10, 1)
-	if _, err := AnnealCtx(ctx, mh, AnnealOptions{Iters: 400, Restarts: 4, Workers: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := Anneal(ctx, mh, Options{Iters: 400, Restarts: 4, Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestBuildMemoConcurrentAccess(t *testing.T) {
 	// Hammer Build from many goroutines over a small set of Hamiltonians:
-	// results must agree with a fresh (memo-bypassing) construction, and
-	// each caller must get its own tree — memo hits replay, never share.
+	// results must agree with a construction on an empty memo, and each
+	// caller must get its own tree — memo hits replay, never share.
 	ResetBuildCache()
 	seeds := []int64{1, 2, 3}
 	mhs := make([]*fermion.MajoranaHamiltonian, len(seeds))
@@ -146,10 +147,11 @@ func TestBuildMemoConcurrentAccess(t *testing.T) {
 	weights := make([]int, len(seeds))
 	for i, seed := range seeds {
 		mhs[i] = randomFermionic(5, 15, seed)
-		ref := BuildWithOptions(mhs[i], BuildOptions{NoMemo: true})
+		ref := run(t, Build, mhs[i], Options{})
 		wants[i] = mappingBytes(t, ref)
 		weights[i] = ref.PredictedWeight
 	}
+	ResetBuildCache()
 
 	const goroutines = 16
 	const iters = 20
@@ -160,7 +162,12 @@ func TestBuildMemoConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				results[g] = append(results[g], Build(mhs[(g+it)%len(mhs)]))
+				res, err := Build(context.Background(), mhs[(g+it)%len(mhs)], Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = append(results[g], res)
 			}
 		}(g)
 	}
@@ -196,10 +203,17 @@ func TestBuildMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = Build(mh)
+			r, err := Build(context.Background(), mh, Options{})
+			if err != nil {
+				t.Error(err)
+			}
+			results[g] = r
 		}(g)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	if got := buildSearches.Load() - before; got != 1 {
 		t.Fatalf("%d searches ran for one key, want 1 (single-flight)", got)
 	}
@@ -214,8 +228,8 @@ func TestBuildMemoSingleFlight(t *testing.T) {
 func TestBuildMemoHitReplaysFreshTree(t *testing.T) {
 	ResetBuildCache()
 	mh := randomFermionic(4, 10, 1)
-	a := Build(mh)
-	b := Build(mh) // memo hit
+	a := run(t, Build, mh, Options{})
+	b := run(t, Build, mh, Options{}) // memo hit
 	if a.Tree == b.Tree || a.Mapping == b.Mapping {
 		t.Fatal("memo hit shared a tree or mapping with an earlier caller")
 	}
@@ -224,7 +238,7 @@ func TestBuildMemoHitReplaysFreshTree(t *testing.T) {
 	}
 	// Mutating one caller's result must not leak into the next hit.
 	b.Mapping.Name = "mutated"
-	c := Build(mh)
+	c := run(t, Build, mh, Options{})
 	if c.Mapping.Name != "HATT" {
 		t.Fatalf("memo served a mutated mapping (name %q)", c.Mapping.Name)
 	}
@@ -247,10 +261,11 @@ func TestBuildMemoCollisionDegradesToMiss(t *testing.T) {
 func TestBuildMemoDistinguishesTieBreaks(t *testing.T) {
 	ResetBuildCache()
 	mh := randomFermionic(5, 15, 4)
-	first := BuildWithOptions(mh, BuildOptions{TieBreak: TieFirst})
-	depth := BuildWithOptions(mh, BuildOptions{TieBreak: TieDepth})
-	wantFirst := BuildWithOptions(mh, BuildOptions{TieBreak: TieFirst, NoMemo: true})
-	wantDepth := BuildWithOptions(mh, BuildOptions{TieBreak: TieDepth, NoMemo: true})
+	first := run(t, Build, mh, Options{TieBreak: TieFirst})
+	depth := run(t, Build, mh, Options{TieBreak: TieDepth})
+	ResetBuildCache()
+	wantFirst := run(t, Build, mh, Options{TieBreak: TieFirst})
+	wantDepth := run(t, Build, mh, Options{TieBreak: TieDepth})
 	if !bytes.Equal(mappingBytes(t, first), mappingBytes(t, wantFirst)) {
 		t.Fatal("TieFirst memo entry corrupted")
 	}

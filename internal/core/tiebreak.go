@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"math/bits"
-
-	"repro/internal/fermion"
-	"repro/internal/mapping"
-	"repro/internal/parallel"
-)
+import "math/bits"
 
 // TieBreak selects the secondary objective used when several candidate
 // merges settle the same Pauli weight on the current qubit. The paper's
@@ -29,158 +22,6 @@ const (
 	// cancellation.
 	TieSupport
 )
-
-// BuildOptions configures BuildWithOptions / BuildWithOptionsCtx.
-type BuildOptions struct {
-	TieBreak TieBreak
-	// Workers fans candidate scoring out over a bounded pool; values
-	// below 2 keep the scan sequential. The selected merge — and hence
-	// the mapping — is identical at every worker count.
-	Workers int
-	// NoMemo bypasses the build memo, forcing a full construction. Used
-	// by benchmarks that time the search itself.
-	NoMemo bool
-	// Bound, when non-nil, is a shared portfolio incumbent consulted once
-	// per construction step: the search returns ErrBounded as soon as the
-	// accumulated settled weight proves the final mapping cannot win the
-	// lexicographic (weight, BoundPos) race. Abandonment is all-or-nothing
-	// — it never alters which merges a surviving search selects — so the
-	// portfolio winner stays byte-identical at any worker count or timing.
-	Bound *Bound
-	// BoundPos is this search's position in the portfolio's canonical
-	// racer order, the tie-break key of the (weight, position) race.
-	BoundPos int
-}
-
-// BuildWithOptions is BuildWithOptionsCtx with a background context. It
-// never returns an error: with no cancellable context the only failure
-// is a panic inside a pool worker, which is re-raised rather than
-// silently returning nil.
-func BuildWithOptions(mh *fermion.MajoranaHamiltonian, opts BuildOptions) *Result {
-	//hatt:lint-ignore ctxflow compat wrapper: the Ctx variant is the library API
-	res, err := BuildWithOptionsCtx(context.Background(), mh, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BuildWithOptionsCtx is Build (Algorithms 2+3) with a configurable
-// tie-breaking policy and parallel candidate scoring.
-// BuildWithOptionsCtx(ctx, mh, BuildOptions{}) selects exactly the merges
-// Build selects.
-//
-// Completed constructions are memoized (see memo.go) unless NoMemo is
-// set; the context is checked once per construction step, so
-// cancellation returns (nil, ctx.Err()) within one step.
-func BuildWithOptionsCtx(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts BuildOptions) (*Result, error) {
-	canon := canonicalKey(mh)
-	key := buildMemoKey{fp: fingerprint(canon), tb: opts.TieBreak}
-	if !opts.NoMemo {
-		e, hit, release, err := memoAcquire(ctx, key, canon)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			return e.replay(mh), nil
-		}
-		defer release()
-	}
-	buildSearches.Add(1)
-	p := newProblem(mh)
-	b := newBuilder(p)
-	n := p.n
-	depth := make([]int, 3*n+1) // leaves depth 0
-	type cand struct{ ox, oy, oz int }
-	var cands []cand
-	var scores []int
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// b.predicted only grows, so once it proves the race lost the whole
-		// search is abandoned (never stored in the memo: the release above
-		// wakes any waiter to take over the construction).
-		if opts.Bound.Unbeatable(b.predicted, opts.BoundPos) {
-			return nil, ErrBounded
-		}
-		// Enumerate the vacuum-preserving candidate triples in the same
-		// order as Build (cheap index work, kept sequential)...
-		cands = cands[:0]
-		for _, ox := range b.u {
-			x := b.mdown[ox]
-			if x%2 == 1 || x == 2*n {
-				continue
-			}
-			oy := b.mup[x+1]
-			if oy == ox {
-				continue
-			}
-			for _, oz := range b.u {
-				if oz == ox || oz == oy {
-					continue
-				}
-				cands = append(cands, cand{ox, oy, oz})
-			}
-		}
-		if len(cands) == 0 {
-			panic("core: no valid vacuum-preserving selection (invariant violated)")
-		}
-		// ...score them in parallel (settledWeight dominates the step and
-		// only reads builder state)...
-		if cap(scores) < len(cands) {
-			scores = make([]int, len(cands))
-		}
-		scores = scores[:len(cands)]
-		workers := max(1, opts.Workers)
-		if len(cands) < scoreFanoutCutoff {
-			workers = 1 // dispatch would cost more than the scoring
-		}
-		if err := parallel.ForEachChunk(ctx, len(cands), workers, func(lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				c := cands[j]
-				scores[j] = settledWeight(b.bits[c.ox], b.bits[c.oy], b.bits[c.oz])
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		// ...and reduce in enumeration order, so ties resolve exactly as
-		// the sequential scan would at any worker count.
-		bestW := int(^uint(0) >> 1)
-		bestTie := int(^uint(0) >> 1)
-		bestIdx := -1
-		for j, c := range cands {
-			w := scores[j]
-			if w > bestW {
-				continue
-			}
-			tie := 0
-			switch opts.TieBreak {
-			case TieDepth:
-				tie = 1 + max3(depth[c.ox], depth[c.oy], depth[c.oz])
-			case TieSupport:
-				tie = parentSupport(b.bits[c.ox], b.bits[c.oy], b.bits[c.oz])
-			}
-			if w < bestW || tie < bestTie {
-				bestW, bestTie, bestIdx = w, tie, j
-			}
-		}
-		c := cands[bestIdx]
-		pid := 2*n + 1 + i
-		depth[pid] = 1 + max3(depth[c.ox], depth[c.oy], depth[c.oz])
-		b.merge(i, c.ox, c.oy, c.oz)
-	}
-	if !opts.NoMemo {
-		memoStore(key, canon, b.log)
-	}
-	t := b.finish()
-	return &Result{
-		Mapping:         mapping.FromTreeByLeafID("HATT", t),
-		Tree:            t,
-		PredictedWeight: b.predicted,
-	}, nil
-}
 
 func max3(a, b, c int) int {
 	if b > a {

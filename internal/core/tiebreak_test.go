@@ -7,28 +7,11 @@ import (
 	"repro/internal/models"
 )
 
-func TestBuildWithOptionsDefaultMatchesBuild(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		mh := randomFermionic(5, 14, seed)
-		a := Build(mh)
-		b := BuildWithOptions(mh, BuildOptions{})
-		if a.PredictedWeight != b.PredictedWeight {
-			t.Fatalf("seed %d: default tie-break diverges: %d vs %d",
-				seed, a.PredictedWeight, b.PredictedWeight)
-		}
-		for j := range a.Mapping.Majoranas {
-			if !a.Mapping.Majoranas[j].Equal(b.Mapping.Majoranas[j]) {
-				t.Fatalf("seed %d: M%d differs under default tie-break", seed, j)
-			}
-		}
-	}
-}
-
 func TestTieBreakPoliciesStayValid(t *testing.T) {
 	mh := models.FermiHubbard(2, 3, 1, 4).Majorana(1e-12)
-	base := Build(mh).PredictedWeight
+	base := run(t, Build, mh, Options{}).PredictedWeight
 	for _, tb := range []TieBreak{TieFirst, TieDepth, TieSupport} {
-		res := BuildWithOptions(mh, BuildOptions{TieBreak: tb})
+		res := run(t, Build, mh, Options{TieBreak: tb})
 		if err := res.Mapping.Verify(); err != nil {
 			t.Fatalf("tiebreak %d: %v", tb, err)
 		}
@@ -56,8 +39,8 @@ func TestTieDepthReducesTreeDepth(t *testing.T) {
 	for i := 0; i < 2*n; i++ {
 		mh.Terms = append(mh.Terms, fermion.MajoranaTerm{Coeff: 1, Indices: []int{i}})
 	}
-	first := BuildWithOptions(mh, BuildOptions{TieBreak: TieFirst})
-	depth := BuildWithOptions(mh, BuildOptions{TieBreak: TieDepth})
+	first := run(t, Build, mh, Options{TieBreak: TieFirst})
+	depth := run(t, Build, mh, Options{TieBreak: TieDepth})
 	if depth.Tree.Depth() > first.Tree.Depth() {
 		t.Errorf("TieDepth gave deeper tree: %d vs %d", depth.Tree.Depth(), first.Tree.Depth())
 	}

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/models"
 )
 
 // TestUnoptPruneMatchesReference asserts that the pairwise-delta prune in
-// buildUnoptBuilder is invisible: on every model it must produce exactly
+// buildUnoptScan is invisible: on every model it must produce exactly
 // the merge schedule and settled weight of the exhaustive triple scan.
 func TestUnoptPruneMatchesReference(t *testing.T) {
 	cases := []struct {
@@ -31,7 +32,10 @@ func TestUnoptPruneMatchesReference(t *testing.T) {
 				}
 				mh = h.Majorana(1e-12)
 			}
-			pruned := buildUnoptBuilder(newProblem(mh))
+			pruned, err := buildUnoptScan(context.Background(), newProblem(mh), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			ref := buildUnoptReference(newProblem(mh))
 			if pruned.predicted != ref.predicted {
 				t.Fatalf("predicted weight %d, reference %d", pruned.predicted, ref.predicted)
@@ -52,7 +56,7 @@ func TestUnoptPruneMatchesReference(t *testing.T) {
 // lockstep with BuildUnopt.
 func TestBuildUnoptReferenceExported(t *testing.T) {
 	mh := eq3()
-	a, b := BuildUnopt(mh), BuildUnoptReference(mh)
+	a, b := run(t, BuildUnopt, mh, Options{}), BuildUnoptReference(mh)
 	if a.PredictedWeight != b.PredictedWeight {
 		t.Fatalf("weights diverge: %d vs %d", a.PredictedWeight, b.PredictedWeight)
 	}

@@ -26,7 +26,8 @@ func TestMappingsVerify(t *testing.T) {
 }
 
 func TestMappingsVacuumPreserved(t *testing.T) {
-	for n := 1; n <= 12; n++ {
+	// 72 modes put the high qubits' X parts in a second word.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 72} {
 		for _, m := range allMappings(n) {
 			if !m.VacuumPreserved() {
 				t.Errorf("%s(%d) not vacuum preserving", m.Name, n)
@@ -211,6 +212,13 @@ func TestVacuumViolationDetected(t *testing.T) {
 	m.Majoranas[0], m.Majoranas[1] = m.Majoranas[1], m.Majoranas[0]
 	if m.VacuumPreserved() {
 		t.Error("swapped pair should break vacuum preservation")
+	}
+	// Swap M138 and M140 on 72 modes: pair (M138, M139) then flips qubits
+	// 70 and 69, which differ only in the second word of the X parts.
+	m = JordanWigner(72)
+	m.Majoranas[138], m.Majoranas[140] = m.Majoranas[140], m.Majoranas[138]
+	if m.VacuumPreserved() {
+		t.Error("swapped high-mode Majoranas should break vacuum preservation")
 	}
 }
 

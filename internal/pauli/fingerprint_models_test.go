@@ -6,6 +6,7 @@ package pauli_test
 // an import cycle (models → fermion → pauli).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -30,10 +31,14 @@ func TestFingerprintCollisionFreeAcrossModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		mh := h.Majorana(1e-12)
+		hatt, err := core.Build(context.Background(), mh, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		maps := []*mapping.Mapping{
 			mapping.JordanWigner(h.Modes),
 			mapping.BravyiKitaev(h.Modes),
-			core.Build(mh).Mapping,
+			hatt.Mapping,
 		}
 		for _, m := range maps {
 			hq := m.Apply(mh)

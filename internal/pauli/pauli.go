@@ -251,6 +251,20 @@ func (s String) EqualUpToPhase(t String) bool {
 	return true
 }
 
+// SameFlips reports whether s and t flip the same qubits of a basis
+// state: their X parts (the qubits holding X or Y) agree on every word.
+func (s String) SameFlips(t String) bool {
+	if s.n != t.n {
+		return false
+	}
+	for i := range s.x {
+		if s.x[i] != t.x[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether s and t are identical operators including phase.
 func (s String) Equal(t String) bool {
 	return s.EqualUpToPhase(t) && s.phase == t.phase

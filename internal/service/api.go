@@ -896,9 +896,8 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "degraded", "reasons": reasons})
 }
 
-// StatsSnapshot assembles the /v1/stats payload. It is exported (and
-// JSON-marshalable) so hattd can additionally publish it through expvar.
-func (a *API) StatsSnapshot() map[string]any {
+// statsSnapshot assembles the /v1/stats payload.
+func (a *API) statsSnapshot() map[string]any {
 	pending, capacity := a.mgr.QueueDepth()
 	jobs := map[string]any{
 		"queue_depth":    pending,
@@ -941,5 +940,5 @@ func (a *API) StatsSnapshot() map[string]any {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.StatsSnapshot())
+	writeJSON(w, http.StatusOK, a.statsSnapshot())
 }

@@ -60,25 +60,6 @@ func newBlocking(t *testing.T) *blockingMethod {
 	return b
 }
 
-func waitState(t *testing.T, m *Manager, id string, want State) Status {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		st, err := m.Status(id)
-		if err != nil {
-			t.Fatalf("status %s: %v", id, err)
-		}
-		if st.State == want {
-			return st
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("job %s stuck in %s, want %s", id, st.State, want)
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-}
-
 func TestSubmitRunResult(t *testing.T) {
 	m := New(Config{Workers: 2, QueueDepth: 8})
 	defer m.Shutdown(context.Background())

@@ -14,8 +14,8 @@ import (
 // WithObservability attaches a metrics registry and a trace buffer to
 // the API. NewAPI creates private defaults when the option is absent, so
 // the middleware and /v1/traces always work; hattd passes shared
-// instances so the daemon can also mount GET /metrics and expvar off
-// the same registry.
+// instances so the daemon can also mount GET /metrics off the same
+// registry.
 func WithObservability(reg *obs.Registry, tracer *obs.Tracer) APIOption {
 	return func(a *API) {
 		if reg != nil {

@@ -238,7 +238,7 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		t.Fatalf("compile 2: %d cached=%v", r.StatusCode, body["cached"])
 	}
 
-	snap := api.StatsSnapshot()
+	snap := api.statsSnapshot()
 	metrics := scrapeMetrics(t, api.Registry())
 
 	stats := snap["store"].(store.Stats)

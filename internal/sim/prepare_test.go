@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/models"
 )
@@ -19,7 +18,7 @@ func TestPrepareOccupiedMatchesFockMask(t *testing.T) {
 		mapping.BravyiKitaev(4),
 		mapping.Parity(4),
 		mapping.BalancedTernaryTree(4),
-		core.Build(mh).Mapping,
+		hattMapping(t, mh),
 	}
 	occs := [][]int{{0}, {0, 1}, {1, 3}, {0, 1, 2, 3}}
 	for _, m := range maps {

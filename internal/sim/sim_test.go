@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -12,6 +13,16 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/pauli"
 )
+
+// hattMapping builds the HATT mapping of mh.
+func hattMapping(t *testing.T, mh *fermion.MajoranaHamiltonian) *mapping.Mapping {
+	t.Helper()
+	res, err := core.Build(context.Background(), mh, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Mapping
+}
 
 func TestHadamardSuperposition(t *testing.T) {
 	s := NewState(1)
@@ -117,7 +128,7 @@ func TestVacuumPreservationEndToEnd(t *testing.T) {
 	hf.Add(0.6,
 		fermion.Op{Mode: 0, Dagger: true}, fermion.Op{Mode: 3, Dagger: true},
 		fermion.Op{Mode: 0}, fermion.Op{Mode: 3})
-	m := core.Build(hf.Majorana(1e-14)).Mapping
+	m := hattMapping(t, hf.Majorana(1e-14))
 	for j := 0; j < 4; j++ {
 		hq := m.ApplyFermionic(fermion.Number(4, j))
 		s := NewState(m.Qubits())
@@ -252,7 +263,7 @@ func TestMappingsAgreeOnNoiselessEnergy(t *testing.T) {
 	hf.Add(1.1, fermion.Op{Mode: 2, Dagger: true}, fermion.Op{Mode: 2})
 	mh := hf.Majorana(1e-14)
 	var energies []float64
-	for _, m := range []*mapping.Mapping{mapping.JordanWigner(3), core.Build(mh).Mapping} {
+	for _, m := range []*mapping.Mapping{mapping.JordanWigner(3), hattMapping(t, mh)} {
 		hq := m.Apply(mh)
 		c := circuit.Compile(hq, circuit.OrderLexicographic)
 		s := NewState(3)

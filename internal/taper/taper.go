@@ -281,18 +281,13 @@ func TaperSector(h *pauli.Hamiltonian, taus []pauli.String, sectors []int) (*Res
 	return &Result{Reduced: red, Symmetries: syms, KeptQubits: kept}, nil
 }
 
-// GroundSector runs GroundSectorCtx with a background context.
-func GroundSector(h *pauli.Hamiltonian, groundEnergy func(*pauli.Hamiltonian) float64) (*Result, float64, error) {
-	return GroundSectorCtx(context.Background(), h, groundEnergy)
-}
-
-// GroundSectorCtx tries every sector assignment (2^k, guarded to k ≤ 12)
+// GroundSector tries every sector assignment (2^k, guarded to k ≤ 12)
 // and returns the tapering whose reduced ground energy matches the global
 // minimum, together with that energy. groundEnergy is a caller-provided
 // oracle (e.g. linalg.GroundEnergy) so this package stays dependency-free.
 // The context is checked before each sector's eigensolve; on cancellation
 // the sweep stops and returns ctx.Err().
-func GroundSectorCtx(ctx context.Context, h *pauli.Hamiltonian, groundEnergy func(*pauli.Hamiltonian) float64) (*Result, float64, error) {
+func GroundSector(ctx context.Context, h *pauli.Hamiltonian, groundEnergy func(*pauli.Hamiltonian) float64) (*Result, float64, error) {
 	taus := FindSymmetries(h)
 	if len(taus) == 0 {
 		return nil, 0, fmt.Errorf("taper: no symmetries found")

@@ -1,6 +1,7 @@
 package taper
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestRotatePreservesSpectrum(t *testing.T) {
 func TestTaperH2PreservesGroundEnergy(t *testing.T) {
 	hq := mapping.JordanWigner(4).ApplyFermionic(models.H2STO3G())
 	full := linalg.GroundEnergy(hq)
-	res, e, err := GroundSector(hq, linalg.GroundEnergy)
+	res, e, err := GroundSector(context.Background(), hq, linalg.GroundEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +105,13 @@ func TestTaperHubbardWithHATT(t *testing.T) {
 	// Tapering composes with HATT: the HATT-mapped 1×2 Hubbard model has
 	// spin-parity symmetries; tapering must preserve the ground energy.
 	mh := models.FermiHubbard(1, 2, 1, 4).Majorana(1e-12)
-	hq := core.Build(mh).Mapping.Apply(mh)
+	hatt, err := core.Build(context.Background(), mh, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hq := hatt.Mapping.Apply(mh)
 	full := linalg.GroundEnergy(hq)
-	res, e, err := GroundSector(hq, linalg.GroundEnergy)
+	res, e, err := GroundSector(context.Background(), hq, linalg.GroundEnergy)
 	if err != nil {
 		t.Skipf("no tapering available: %v", err)
 	}

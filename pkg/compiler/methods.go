@@ -62,69 +62,89 @@ func fromCore(name string, r *core.Result) *Result {
 	return &Result{Method: name, Mapping: r.Mapping, Tree: r.Tree, PredictedWeight: r.PredictedWeight}
 }
 
+// coreOptions maps the facade options onto the one options struct every
+// internal/core search takes; each search reads only its own fields.
+// Progress and partial results are reported under the method's name.
+func coreOptions(name string, opts Options) core.Options {
+	co := core.Options{
+		Workers:   opts.Parallelism,
+		Bound:     opts.bound,
+		BoundPos:  opts.boundPos,
+		TieBreak:  opts.TieBreak,
+		Width:     opts.BeamWidth,
+		MaxVisits: opts.VisitBudget,
+		Iters:     opts.AnnealIters,
+		TStart:    opts.AnnealTStart,
+		TEnd:      opts.AnnealTEnd,
+		Seed:      opts.Seed,
+		Restarts:  opts.AnnealRestarts,
+	}
+	if opts.Progress != nil {
+		co.Progress = func(iter, iters, best int) {
+			opts.emit(ProgressEvent{Method: name, Stage: StageSearch, Step: iter, Total: iters, BestWeight: best})
+		}
+	}
+	if opts.Partial != nil {
+		// Restart chains report improvements that are only monotone per
+		// chain; gate deliveries behind a compile-wide incumbent so the
+		// WithPartial contract (strictly decreasing weights) holds at any
+		// restart count. The emit stays under the mutex to keep deliveries
+		// ordered.
+		var mu sync.Mutex
+		best := int(^uint(0) >> 1)
+		co.OnImprove = func(r *core.Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			if r.PredictedWeight >= best {
+				return
+			}
+			best = r.PredictedWeight
+			opts.Partial(PartialResult{Method: name, Weight: r.PredictedWeight, Mapping: r.Mapping})
+		}
+	}
+	return co
+}
+
+// coreMethod serves a core search as the method name.
+func coreMethod(name string, run func(context.Context, *fermion.MajoranaHamiltonian, core.Options) (*core.Result, error)) method {
+	return method{name: name, run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+		r, err := run(ctx, mh, coreOptions(name, opts))
+		if err != nil {
+			return nil, err
+		}
+		return fromCore(name, r), nil
+	}}
+}
+
 func init() {
 	MustRegister(constructive("jw", mapping.JordanWigner))
 	MustRegister(constructive("bk", mapping.BravyiKitaev))
 	MustRegister(constructive("parity", mapping.Parity))
 	MustRegister(constructive("btt", mapping.BalancedTernaryTree))
 
-	MustRegister(method{name: "hatt", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-		r, err := core.BuildWithOptionsCtx(ctx, mh, core.BuildOptions{
-			TieBreak: opts.TieBreak,
-			Workers:  opts.Parallelism,
-			Bound:    opts.bound,
-			BoundPos: opts.boundPos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return fromCore("hatt", r), nil
-	}})
+	MustRegister(coreMethod("hatt", core.Build))
+	MustRegister(coreMethod("hatt-unopt", core.BuildUnopt))
 
-	MustRegister(method{name: "hatt-unopt", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-		r, err := core.BuildUnoptCtx(ctx, mh, core.UnoptOptions{
-			Bound:    opts.bound,
-			BoundPos: opts.boundPos,
-		})
-		if err != nil {
-			return nil, err
+	beam := coreMethod("beam", core.Beam)
+	beam.parse = func(base method, arg string) (Method, error) {
+		width, err := strconv.Atoi(arg)
+		if err != nil || width < 1 {
+			return nil, fmt.Errorf("compiler: bad beam width %q (want beam:<width ≥ 1>)", arg)
 		}
-		return fromCore("hatt-unopt", r), nil
-	}})
-
-	MustRegister(method{
-		name: "beam",
-		run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-			r, err := core.BuildBeamOpts(ctx, mh, core.BeamOptions{
-				Width:    opts.BeamWidth,
-				Workers:  opts.Parallelism,
-				Bound:    opts.bound,
-				BoundPos: opts.boundPos,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return fromCore("beam", r), nil
-		},
-		parse: func(base method, arg string) (Method, error) {
-			width, err := strconv.Atoi(arg)
-			if err != nil || width < 1 {
-				return nil, fmt.Errorf("compiler: bad beam width %q (want beam:<width ≥ 1>)", arg)
-			}
-			inner := base.run
-			base.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-				opts.BeamWidth = width
-				return inner(ctx, mh, opts)
-			}
-			base.parse = nil
-			return base, nil
-		},
-	})
+		inner := base.run
+		base.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+			opts.BeamWidth = width
+			return inner(ctx, mh, opts)
+		}
+		base.parse = nil
+		return base, nil
+	}
+	MustRegister(beam)
 
 	MustRegister(method{
 		name: "fh",
 		run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-			r, err := core.ExhaustiveCtx(ctx, mh, opts.VisitBudget)
+			r, err := core.Exhaustive(ctx, mh, coreOptions("fh", opts))
 			if err != nil {
 				return nil, err
 			}
@@ -148,44 +168,5 @@ func init() {
 		},
 	})
 
-	MustRegister(method{name: "anneal", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-		aopts := core.AnnealOptions{
-			Iters:    opts.AnnealIters,
-			TStart:   opts.AnnealTStart,
-			TEnd:     opts.AnnealTEnd,
-			Seed:     opts.Seed,
-			Restarts: opts.AnnealRestarts,
-			Workers:  opts.Parallelism,
-			Bound:    opts.bound,
-			BoundPos: opts.boundPos,
-		}
-		if opts.Progress != nil {
-			aopts.Progress = func(iter, iters, best int) {
-				opts.emit(ProgressEvent{Method: "anneal", Stage: StageSearch, Step: iter, Total: iters, BestWeight: best})
-			}
-		}
-		if opts.Partial != nil {
-			// Chains report improvements that are only monotone per chain;
-			// gate deliveries behind a compile-wide incumbent so the
-			// WithPartial contract (strictly decreasing weights) holds at
-			// any restart count. The emit stays under the mutex to keep
-			// deliveries ordered.
-			var mu sync.Mutex
-			best := int(^uint(0) >> 1)
-			aopts.OnImprove = func(r *core.Result) {
-				mu.Lock()
-				defer mu.Unlock()
-				if r.PredictedWeight >= best {
-					return
-				}
-				best = r.PredictedWeight
-				opts.Partial(PartialResult{Method: "anneal", Weight: r.PredictedWeight, Mapping: r.Mapping})
-			}
-		}
-		r, err := core.AnnealCtx(ctx, mh, aopts)
-		if err != nil {
-			return nil, err
-		}
-		return fromCore("anneal", r), nil
-	}})
+	MustRegister(coreMethod("anneal", core.Anneal))
 }

@@ -144,7 +144,7 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 		}
 		tctx, taperSpan := obs.StartSpan(ctx, "taper.ground")
 		taperSpan.SetAttr("method", res.Method)
-		tres, e, err := taper.GroundSectorCtx(tctx, hq, linalg.GroundEnergy)
+		tres, e, err := taper.GroundSector(tctx, hq, linalg.GroundEnergy)
 		taperSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("compiler: tapering failed: %w", err)

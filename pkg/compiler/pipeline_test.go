@@ -45,6 +45,18 @@ func TestPipelineDefaultsToHATT(t *testing.T) {
 	}
 }
 
+func TestPipelineBeyond64Modes(t *testing.T) {
+	// 72 modes: the vacuum check must read every word of the strings.
+	rep, err := Pipeline{Model: "hubbard:6x6"}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Modes != 72 || !rep.VacuumPreserved || rep.Weight != 1499 {
+		t.Fatalf("hubbard:6x6: modes %d, vacuum %v, weight %d; want 72, true, 1499",
+			rep.Modes, rep.VacuumPreserved, rep.Weight)
+	}
+}
+
 func TestPipelineErrors(t *testing.T) {
 	ctx := context.Background()
 	if _, err := (Pipeline{Method: "hatt"}).Run(ctx); err == nil {
