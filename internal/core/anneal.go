@@ -50,9 +50,14 @@ func Anneal(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) 
 	if opts.Restarts < 1 {
 		opts.Restarts = 1
 	}
-	p := newProblem(mh)
+	// Every chain starts from the same Algorithm-1 tree, so the scan runs
+	// once and each chain assembles its own mutable copy.
+	seed, err := buildUnoptScan(ctx, newProblem(mh), Options{})
+	if err != nil {
+		return nil, err
+	}
 	if opts.Restarts == 1 {
-		return annealChain(ctx, p, opts)
+		return annealChain(ctx, seed, opts)
 	}
 	results, err := parallel.Map(ctx, opts.Restarts, max(1, opts.Workers), func(k int) (*Result, error) {
 		chain := opts
@@ -60,7 +65,7 @@ func Anneal(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) 
 		if k != 0 {
 			chain.Progress = nil
 		}
-		return annealChain(ctx, p, chain)
+		return annealChain(ctx, seed, chain)
 	})
 	if err != nil {
 		return nil, err
@@ -74,14 +79,11 @@ func Anneal(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) 
 	return best, nil
 }
 
-// annealChain runs one simulated-annealing chain to completion (or to
-// bound-driven early exit).
-func annealChain(ctx context.Context, p *problem, opts Options) (*Result, error) {
-	ub, err := buildUnoptScan(ctx, p, Options{})
-	if err != nil {
-		return nil, err
-	}
-	cur := ub.finish()
+// annealChain runs one simulated-annealing chain from the seed
+// construction's tree to completion (or to bound-driven early exit).
+func annealChain(ctx context.Context, seed *builder, opts Options) (*Result, error) {
+	p := seed.p
+	cur := seed.finish()
 	curW := p.evaluateTree(cur)
 	best := cloneTree(cur)
 	bestW := curW

@@ -260,12 +260,19 @@ func TestBuildMemoCollisionDegradesToMiss(t *testing.T) {
 
 func TestBuildMemoDistinguishesTieBreaks(t *testing.T) {
 	ResetBuildCache()
-	mh := randomFermionic(5, 15, 4)
+	// The two tie-breaks build different trees here (weights 77 and 78),
+	// so a memo key that dropped the tie-break would serve the wrong one.
+	mh := randomFermionic(6, 18, 1)
 	first := run(t, Build, mh, Options{TieBreak: TieFirst})
 	depth := run(t, Build, mh, Options{TieBreak: TieDepth})
+	// Each reference runs on an empty memo, so both are fresh searches.
 	ResetBuildCache()
 	wantFirst := run(t, Build, mh, Options{TieBreak: TieFirst})
+	ResetBuildCache()
 	wantDepth := run(t, Build, mh, Options{TieBreak: TieDepth})
+	if bytes.Equal(mappingBytes(t, wantFirst), mappingBytes(t, wantDepth)) {
+		t.Fatal("TieFirst and TieDepth agree on this input; the test cannot detect a collision")
+	}
 	if !bytes.Equal(mappingBytes(t, first), mappingBytes(t, wantFirst)) {
 		t.Fatal("TieFirst memo entry corrupted")
 	}
