@@ -223,6 +223,25 @@ func BenchmarkCompilerPipelineH2(b *testing.B) {
 	}
 }
 
+// BenchmarkMajorana times the preprocessing step every compile pays, the
+// Majorana expansion of a resolved model, cache hits included.
+func BenchmarkMajorana(b *testing.B) {
+	for _, spec := range []string{"h2", "hubbard:3x3", "hubbard:4x4"} {
+		h, err := models.Resolve(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(h.Majorana(1e-12).Terms) == 0 {
+					b.Fatal("empty expansion")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkHATTUnoptConstruction3x3(b *testing.B) {
 	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
 	ctx, weight := context.Background(), weightOf(b)

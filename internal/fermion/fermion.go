@@ -13,9 +13,12 @@
 package fermion
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/cmplx"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -133,105 +136,237 @@ type MajoranaHamiltonian struct {
 // NumMajoranas returns 2·Modes.
 func (m *MajoranaHamiltonian) NumMajoranas() int { return 2 * m.Modes }
 
-// monomial is a mutable Majorana monomial during expansion.
-type monomial struct {
-	coeff   complex128
-	indices []int // arbitrary order until normalized
-}
-
-// normalize sorts indices with anticommutation sign tracking and cancels
-// adjacent equal pairs (M² = 1). Returns the strictly-increasing index set
-// and the signed coefficient.
-func (m monomial) normalize() MajoranaTerm {
-	idx := make([]int, len(m.indices))
-	copy(idx, m.indices)
-	sign := 1
-	// Insertion sort, counting inversions (each adjacent swap flips sign).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j-1] > idx[j]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-			sign = -sign
-		}
-	}
-	// Cancel equal adjacent pairs: M_i·M_i = 1.
-	out := idx[:0]
-	for i := 0; i < len(idx); {
-		if i+1 < len(idx) && idx[i] == idx[i+1] {
-			i += 2
-			continue
-		}
-		out = append(out, idx[i])
-		i++
-	}
-	c := m.coeff
-	if sign < 0 {
-		c = -c
-	}
-	res := make([]int, len(out))
-	copy(res, out)
-	return MajoranaTerm{Coeff: c, Indices: res}
-}
-
-func indexKey(idx []int) string {
-	var b strings.Builder
-	for _, i := range idx {
-		fmt.Fprintf(&b, "%d,", i)
-	}
-	return b.String()
-}
-
 // Majorana expands the Hamiltonian into normal-ordered Majorana monomials,
 // merging equal monomials and dropping those whose coefficients cancel
 // below eps. This is the "preprocess" step of Algorithm 1.
+//
+// The result is a pure function of the term list, down to the float bits:
+// each term's 2^k monomials are visited in binary order (its first
+// operator is the most significant choice), a monomial seen before is
+// summed as new + previous in that visiting order, and the survivors are
+// sorted by compareMonomials.
 func (h *Hamiltonian) Majorana(eps float64) *MajoranaHamiltonian {
-	acc := make(map[string]MajoranaTerm)
+	x := expansion{slots: make([]int32, 64), shift: 64 - 6, sets: make([]int, 0, 64)}
 	for _, t := range h.Terms {
-		// Expand each op into its two Majorana components:
-		// a†_j = (M_{2j} − i·M_{2j+1})/2 ; a_j = (M_{2j} + i·M_{2j+1})/2.
-		monos := []monomial{{coeff: t.Coeff}}
-		for _, o := range t.Ops {
-			next := make([]monomial, 0, 2*len(monos))
-			sgn := complex(0, 0.5) // +i/2 for a
-			if o.Dagger {
-				sgn = complex(0, -0.5) // −i/2 for a†
-			}
-			for _, m := range monos {
-				m1 := monomial{coeff: m.coeff * 0.5, indices: appendCopy(m.indices, 2*o.Mode)}
-				m2 := monomial{coeff: m.coeff * sgn, indices: appendCopy(m.indices, 2*o.Mode+1)}
-				next = append(next, m1, m2)
-			}
-			monos = next
+		x.addTerm(t)
+	}
+	return x.result(h.Modes, eps)
+}
+
+// MonomialCount returns the number of monomials Majorana visits, Σ 2^k
+// over terms of k operators, without expanding anything. It saturates at
+// math.MaxInt, so an untrusted Hamiltonian can be priced before it is
+// expanded.
+func (h *Hamiltonian) MonomialCount() int {
+	n := 0
+	for _, t := range h.Terms {
+		k := len(t.Ops)
+		if k >= bits.UintSize-1 || n > math.MaxInt-(1<<k) {
+			return math.MaxInt
 		}
-		for _, m := range monos {
-			nt := m.normalize()
-			k := indexKey(nt.Indices)
-			prev, ok := acc[k]
-			if ok {
-				nt.Coeff += prev.Coeff
-			}
-			acc[k] = nt
+		n += 1 << k
+	}
+	return n
+}
+
+// expansion accumulates the distinct monomials of one Majorana expansion.
+// Its buffers are reused from monomial to monomial, so a monomial
+// allocates nothing unless its index set is new.
+type expansion struct {
+	// slots is an open-addressing hash table over sums, probed linearly
+	// from the top bits of an index set's hash: 0 is empty and s names
+	// sums[s-1]. It holds 2^(64-shift) slots, at least twice len(sums).
+	slots []int32
+	shift uint
+	sums  []monomialSum
+	sets  []int // every distinct index set, back to back
+
+	coeff  []complex128 // coeff[j]: the term's coefficient times its first j factors
+	choice []bool       // choice[j]: operator j contributes M_{2m+1}, not M_{2m}
+	idx    []int
+}
+
+// monomialSum is one distinct monomial: its summed coefficient and its
+// strictly increasing index set sets[from:to].
+type monomialSum struct {
+	coeff    complex128
+	hash     uint64
+	from, to int
+}
+
+// addTerm visits the term's 2^k monomials. Each operator contributes one
+// of its two Majoranas, a_m = (M_{2m} + i·M_{2m+1})/2 and
+// a†_m = (M_{2m} − i·M_{2m+1})/2, and the walk is an odometer over those
+// choices: it needs no 2^k-sized buffer and no shift that could overflow,
+// and each coefficient is the same chain of products the factors give.
+func (x *expansion) addTerm(t Term) {
+	k := len(t.Ops)
+	x.coeff = append(x.coeff[:0], t.Coeff)
+	x.choice = x.choice[:0]
+	for j := 0; j < k; j++ {
+		x.coeff = append(x.coeff, x.coeff[j]*0.5)
+		x.choice = append(x.choice, false)
+	}
+	x.idx = slices.Grow(x.idx[:0], k)
+	for {
+		x.add(t.Ops, x.coeff[k])
+		// The last operator still on M_{2m} moves to M_{2m+1}, and every
+		// operator after it resets to M_{2m}.
+		j := k - 1
+		for j >= 0 && x.choice[j] {
+			j--
+		}
+		if j < 0 {
+			return
+		}
+		x.choice[j] = true
+		x.coeff[j+1] = x.coeff[j] * imagHalf(t.Ops[j])
+		for j++; j < k; j++ {
+			x.choice[j] = false
+			x.coeff[j+1] = x.coeff[j] * 0.5
 		}
 	}
-	out := &MajoranaHamiltonian{Modes: h.Modes}
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+}
+
+// imagHalf is the coefficient of M_{2m+1} in o: +i/2 for a, −i/2 for a†.
+func imagHalf(o Op) complex128 {
+	if o.Dagger {
+		return complex(0, -0.5)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t := acc[k]
-		if cmplx.Abs(t.Coeff) <= eps {
+	return complex(0, 0.5)
+}
+
+// add normal-orders the monomial of the current choices with
+// M_i·M_j = −M_j·M_i (i ≠ j) and M_i·M_i = 1, then sums c into it.
+func (x *expansion) add(ops []Op, c complex128) {
+	idx := x.idx[:len(ops)]
+	for j, o := range ops {
+		idx[j] = 2 * o.Mode
+		if x.choice[j] {
+			idx[j]++
+		}
+	}
+	// Insertion sort; every adjacent swap flips the sign.
+	neg := false
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && idx[j-1] > idx[j]; j-- {
+			idx[j-1], idx[j] = idx[j], idx[j-1]
+			neg = !neg
+		}
+	}
+	// Cancel equal adjacent pairs, hashing what is left.
+	n := 0
+	h := uint64(0)
+	for i := 0; i < len(idx); i++ {
+		if i+1 < len(idx) && idx[i] == idx[i+1] {
+			i++
 			continue
 		}
-		out.Terms = append(out.Terms, t)
+		idx[n] = idx[i]
+		n++
+		h = (h ^ uint64(idx[i]+1)) * 0x9e3779b97f4a7c15
+	}
+	if neg {
+		c = -c
+	}
+	set := idx[:n]
+	mask := len(x.slots) - 1
+	p := int(h >> x.shift)
+	for ; x.slots[p] != 0; p = (p + 1) & mask {
+		if m := &x.sums[x.slots[p]-1]; m.hash == h && slices.Equal(x.sets[m.from:m.to], set) {
+			m.coeff = c + m.coeff
+			return
+		}
+	}
+	from := len(x.sets)
+	x.sets = append(x.sets, set...)
+	x.sums = append(x.sums, monomialSum{coeff: c, hash: h, from: from, to: len(x.sets)})
+	x.slots[p] = int32(len(x.sums))
+	if 2*len(x.sums) > len(x.slots) {
+		x.grow()
+	}
+}
+
+// grow doubles the hash table and reinserts every distinct monomial.
+func (x *expansion) grow() {
+	x.slots = make([]int32, 2*len(x.slots))
+	x.shift--
+	mask := len(x.slots) - 1
+	for i, m := range x.sums {
+		p := int(m.hash >> x.shift)
+		for x.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		x.slots[p] = int32(i + 1)
+	}
+}
+
+// result drops the monomials whose coefficients cancel below eps and
+// returns the rest in compareMonomials order. Their index sets share one
+// backing array, each clipped to its own length.
+func (x *expansion) result(modes int, eps float64) *MajoranaHamiltonian {
+	out := &MajoranaHamiltonian{Modes: modes}
+	terms := make([]MajoranaTerm, 0, len(x.sums))
+	for _, s := range x.sums {
+		if cmplx.Abs(s.coeff) <= eps {
+			continue
+		}
+		terms = append(terms, MajoranaTerm{Coeff: s.coeff, Indices: x.sets[s.from:s.to:s.to]})
+	}
+	if len(terms) > 0 {
+		slices.SortFunc(terms, func(a, b MajoranaTerm) int { return compareMonomials(a.Indices, b.Indices) })
+		out.Terms = terms
 	}
 	return out
 }
 
-func appendCopy(s []int, v int) []int {
-	r := make([]int, len(s), len(s)+1)
-	copy(r, s)
-	return append(r, v)
+// compareMonomials orders index sets the way their strings "i,j,k," sort:
+// indices compare one by one as decimal strings (so 10 sorts before 9),
+// and a proper prefix sorts first. Majorana has always emitted terms in
+// this order, and Fingerprint hashes them in it, so every content address
+// in the mapping store depends on it: another order would orphan every
+// stored mapping.
+func compareMonomials(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			if decimalLess(a[i], b[i]) {
+				return -1
+			}
+			return 1
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// decimalLess reports whether the decimal string of a sorts before that
+// of b, for distinct a, b ≥ 0. The longer number is cut to the shorter
+// one's digit count; if the two then differ they decide, and if not, the
+// shorter number is a prefix of the longer one, which sorts it first and
+// also makes it the smaller.
+func decimalLess(a, b int) bool {
+	ca, cb := a, b
+	for da, db := digits(a), digits(b); da != db; {
+		if da > db {
+			ca /= 10
+			da--
+		} else {
+			cb /= 10
+			db--
+		}
+	}
+	if ca != cb {
+		return ca < cb
+	}
+	return a < b
+}
+
+// digits returns the number of decimal digits of v ≥ 0.
+func digits(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // IsHermitian reports whether the Majorana Hamiltonian is Hermitian within

@@ -68,6 +68,10 @@ const (
 	maxAnnealIters    = 100_000_000
 	maxAnnealRestarts = 4096
 	maxParallelism    = 4096
+	// maxMonomials caps the Majorana monomials an inline Hamiltonian
+	// expands into, Σ 2^k over its terms of k operators: the count
+	// quadruples with every two operators added to one term.
+	maxMonomials = 1 << 20
 )
 
 // Retry-After guidance (seconds) attached to shed and draining
@@ -433,8 +437,30 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 		req.devOpts = []compiler.Option{compiler.WithDeviceSpec(d)}
 	}
 
-	switch {
-	case len(req.Hamiltonian) > 0:
+	if len(req.Hamiltonian) == 0 && req.Model == "" {
+		return nil, badRequest("request needs a model spec or a hamiltonian")
+	}
+	mh, aerr := a.majoranaForm(r.Context(), &req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	req.mh = mh
+	if req.Model == "" {
+		req.Model = "custom"
+	}
+	return &req, nil
+}
+
+// majoranaForm builds the request's Hamiltonian, inline or named, and
+// expands it into Majorana form under one model.build span. Both are
+// priced before they are built, the named spec by its mode count and the
+// inline one by its modes and monomials, so an oversized request is a 422
+// at parse cost, not at construction cost.
+func (a *API) majoranaForm(ctx context.Context, req *compileRequest) (*fermion.MajoranaHamiltonian, *apiError) {
+	_, span := obs.StartSpan(ctx, "model.build")
+	defer span.End()
+	if len(req.Hamiltonian) > 0 {
+		span.SetAttr("model", "custom")
 		h, err := fermion.ReadJSON(bytes.NewReader(req.Hamiltonian))
 		if err != nil {
 			return nil, badRequest("invalid hamiltonian: %v", err)
@@ -443,34 +469,26 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 			return nil, &apiError{code: http.StatusUnprocessableEntity,
 				msg: fmt.Sprintf("hamiltonian has %d modes, server caps requests at %d", h.Modes, a.maxModes)}
 		}
-		req.mh = h.Majorana(1e-12)
-		if req.Model == "" {
-			req.Model = "custom"
-		}
-	case req.Model != "":
-		// Price the spec before building it so absurd lattices are
-		// rejected at parse cost, not construction cost.
-		n, err := models.Modes(req.Model)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		if n > a.maxModes {
+		if h.MonomialCount() > maxMonomials {
 			return nil, &apiError{code: http.StatusUnprocessableEntity,
-				msg: fmt.Sprintf("model %q has %d modes, server caps requests at %d", req.Model, n, a.maxModes)}
+				msg: fmt.Sprintf("hamiltonian expands into more Majorana monomials than the server's cap of %d (2^k per term of k operators)", maxMonomials)}
 		}
-		_, modelSpan := obs.StartSpan(r.Context(), "model.build")
-		modelSpan.SetAttr("model", req.Model)
-		h, err := models.Resolve(req.Model)
-		if err != nil {
-			modelSpan.End()
-			return nil, badRequest("%v", err)
-		}
-		req.mh = h.Majorana(1e-12)
-		modelSpan.End()
-	default:
-		return nil, badRequest("request needs a model spec or a hamiltonian")
+		return h.Majorana(1e-12), nil
 	}
-	return &req, nil
+	span.SetAttr("model", req.Model)
+	n, err := models.Modes(req.Model)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	if n > a.maxModes {
+		return nil, &apiError{code: http.StatusUnprocessableEntity,
+			msg: fmt.Sprintf("model %q has %d modes, server caps requests at %d", req.Model, n, a.maxModes)}
+	}
+	h, err := models.Resolve(req.Model)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return h.Majorana(1e-12), nil
 }
 
 // compileResponse is the one result envelope every surface shares: the

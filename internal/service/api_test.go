@@ -295,6 +295,34 @@ func TestCustomHamiltonianRequest(t *testing.T) {
 	}
 }
 
+// longTermBody is an inline Hamiltonian of under 1 KB whose one
+// 24-operator term expands into 2^24 Majorana monomials: seconds of work
+// and gigabytes of memory if the server expanded it.
+func longTermBody() string {
+	ops := strings.Repeat(`{"mode":0,"dagger":true},{"mode":1,"dagger":false},`, 12)
+	return `{"hamiltonian":{"modes":4,"terms":[{"coeff":[1,0],"ops":[` + strings.TrimSuffix(ops, ",") + `]}]},"method":"jw"}`
+}
+
+// TestInlineExpansionPricedBeforeBuild holds both compile routes to
+// refusing an inline Hamiltonian over the monomial cap with a structured
+// 422 at parse cost, before any expansion.
+func TestInlineExpansionPricedBeforeBuild(t *testing.T) {
+	srv, _, _ := testServer(t, "")
+	for _, route := range []string{"/v1/compile", "/v1/jobs"} {
+		start := time.Now()
+		resp, body := postJSON(t, srv.URL+route, longTermBody())
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422 (%v)", route, resp.StatusCode, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "Majorana monomials") {
+			t.Fatalf("%s: error %q does not name the monomial cap", route, msg)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Fatalf("%s: refusing took %v", route, d)
+		}
+	}
+}
+
 func TestSyncCompileTimeout(t *testing.T) {
 	b := newBlocking(t)
 	srv, _, _ := testServer(t, "")

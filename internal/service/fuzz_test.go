@@ -71,6 +71,7 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 		`{"hamiltonian":{"modes":0,"terms":[]}}`,
 		`{"hamiltonian":{"modes":2,"terms":[{"coeff":[1,0],"ops":[{"mode":9,"dagger":true}]}]}}`,
 		`{"hamiltonian":{"modes":1000000,"terms":[]}}`,
+		longTermBody(),
 		// Deep nesting probes the JSON decoder's recursion guard.
 		`{"model":` + strings.Repeat(`[`, 500) + strings.Repeat(`]`, 500) + `}`,
 	}

@@ -122,6 +122,34 @@ func TestTraceparentAdoptionAndTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestInlineCompileTracesModelBuild holds an inline Hamiltonian's decode
+// and Majorana expansion to the model.build span a named model gets,
+// tagged model=custom, so that work is attributed in traces and in
+// hatt_stage_duration_seconds.
+func TestInlineCompileTracesModelBuild(t *testing.T) {
+	srv, _, _ := testServer(t, "")
+	resp, body := postTraced(t, srv.URL+"/v1/compile",
+		`{"hamiltonian":{"modes":2,"terms":[{"coeff":[1,0],"ops":[{"mode":0,"dagger":true},{"mode":1,"dagger":false}]}]},"method":"jw","trace":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %v", resp.StatusCode, body)
+	}
+	trace, ok := body["trace"].(map[string]any)
+	if !ok {
+		t.Fatalf(`"trace":true did not embed a trace block: %v`, body)
+	}
+	for _, s := range trace["spans"].([]any) {
+		span := s.(map[string]any)
+		if span["name"] != "model.build" {
+			continue
+		}
+		if attrs, _ := span["attrs"].(map[string]any); attrs["model"] != "custom" {
+			t.Fatalf("inline model.build attrs = %v, want model=custom", span["attrs"])
+		}
+		return
+	}
+	t.Fatalf("inline compile has no model.build span (have %v)", spanNames(t, trace))
+}
+
 // TestFleetPeerFetchSpanCarriesTraceID is the two-node propagation
 // proof: a compile on node B that fills from peer A must record B's
 // fleet.peer.fetch span under the trace ID the caller injected, and A

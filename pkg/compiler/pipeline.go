@@ -77,27 +77,28 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 	start := time.Now()
 	h := p.Hamiltonian
 	name := p.Model
-	if h == nil {
-		if p.Model == "" {
-			return nil, errors.New("compiler: pipeline needs a Model spec or a Hamiltonian")
-		}
-		var err error
-		_, modelSpan := obs.StartSpan(ctx, "model.build")
-		modelSpan.SetAttr("model", p.Model)
-		h, err = models.Resolve(p.Model)
-		modelSpan.End()
-		if err != nil {
-			return nil, err
-		}
-	} else if name == "" {
+	if h == nil && name == "" {
+		return nil, errors.New("compiler: pipeline needs a Model spec or a Hamiltonian")
+	}
+	if h != nil && name == "" {
 		name = "custom"
 	}
+	_, modelSpan := obs.StartSpan(ctx, "model.build")
+	modelSpan.SetAttr("model", name)
+	if h == nil {
+		var err error
+		if h, err = models.Resolve(p.Model); err != nil {
+			modelSpan.End()
+			return nil, err
+		}
+	}
+	mh := h.Majorana(1e-12)
+	modelSpan.End()
+
 	spec := p.Method
 	if spec == "" {
 		spec = "hatt"
 	}
-
-	mh := h.Majorana(1e-12)
 	o := NewOptions(p.Options...)
 	res, err := compileWith(ctx, spec, mh, o)
 	if err != nil {

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/fermion"
+	"repro/internal/obs"
 )
 
 func TestPipelineH2WithTapering(t *testing.T) {
@@ -93,5 +96,32 @@ func TestParseTermOrder(t *testing.T) {
 	}
 	if _, err := ParseTermOrder("zigzag"); err == nil {
 		t.Error("ParseTermOrder(zigzag): expected error")
+	}
+}
+
+// TestPipelineModelBuildSpan holds Pipeline.Run to one model.build span
+// around building and expanding the Hamiltonian, named or inline.
+func TestPipelineModelBuildSpan(t *testing.T) {
+	for _, p := range []Pipeline{
+		{Model: "h2", Method: "jw"},
+		{Hamiltonian: fermion.Hop(2, 1, 0, 1), Method: "jw"},
+	} {
+		tr := obs.NewTracer(4)
+		ctx, root := obs.StartSpan(obs.WithTracer(context.Background(), tr), "test")
+		rep, err := p.Run(ctx)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := tr.Snapshot(root.Context().TraceID)
+		var models []string
+		for _, s := range snap.Spans {
+			if s.Name == "model.build" {
+				models = append(models, s.Attrs["model"])
+			}
+		}
+		if len(models) != 1 || models[0] != rep.Model {
+			t.Errorf("pipeline for %q: model.build spans tagged %v, want one tagged %q", rep.Model, models, rep.Model)
+		}
 	}
 }
