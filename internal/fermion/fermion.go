@@ -13,12 +13,14 @@
 package fermion
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -146,6 +148,7 @@ func (m *MajoranaHamiltonian) NumMajoranas() int { return 2 * m.Modes }
 // summed as new + previous in that visiting order, and the survivors are
 // sorted by compareMonomials.
 func (h *Hamiltonian) Majorana(eps float64) *MajoranaHamiltonian {
+	// sets starts non-nil, so an identity term's Indices is empty, not nil.
 	x := expansion{slots: make([]int32, 64), shift: 64 - 6, sets: make([]int, 0, 64)}
 	for _, t := range h.Terms {
 		x.addTerm(t)
@@ -220,20 +223,16 @@ func (x *expansion) addTerm(t Term) {
 			return
 		}
 		x.choice[j] = true
-		x.coeff[j+1] = x.coeff[j] * imagHalf(t.Ops[j])
+		f := complex(0, 0.5) // +i/2 for a
+		if t.Ops[j].Dagger {
+			f = complex(0, -0.5) // −i/2 for a†
+		}
+		x.coeff[j+1] = x.coeff[j] * f
 		for j++; j < k; j++ {
 			x.choice[j] = false
 			x.coeff[j+1] = x.coeff[j] * 0.5
 		}
 	}
-}
-
-// imagHalf is the coefficient of M_{2m+1} in o: +i/2 for a, −i/2 for a†.
-func imagHalf(o Op) complex128 {
-	if o.Dagger {
-		return complex(0, -0.5)
-	}
-	return complex(0, 0.5)
 }
 
 // add normal-orders the monomial of the current choices with
@@ -329,44 +328,11 @@ func (x *expansion) result(modes int, eps float64) *MajoranaHamiltonian {
 func compareMonomials(a, b []int) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
-			if decimalLess(a[i], b[i]) {
-				return -1
-			}
-			return 1
+			var da, db [20]byte
+			return bytes.Compare(strconv.AppendInt(da[:0], int64(a[i]), 10), strconv.AppendInt(db[:0], int64(b[i]), 10))
 		}
 	}
 	return cmp.Compare(len(a), len(b))
-}
-
-// decimalLess reports whether the decimal string of a sorts before that
-// of b, for distinct a, b ≥ 0. The longer number is cut to the shorter
-// one's digit count; if the two then differ they decide, and if not, the
-// shorter number is a prefix of the longer one, which sorts it first and
-// also makes it the smaller.
-func decimalLess(a, b int) bool {
-	ca, cb := a, b
-	for da, db := digits(a), digits(b); da != db; {
-		if da > db {
-			ca /= 10
-			da--
-		} else {
-			cb /= 10
-			db--
-		}
-	}
-	if ca != cb {
-		return ca < cb
-	}
-	return a < b
-}
-
-// digits returns the number of decimal digits of v ≥ 0.
-func digits(v int) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
 }
 
 // IsHermitian reports whether the Majorana Hamiltonian is Hermitian within
