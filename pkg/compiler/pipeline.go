@@ -75,12 +75,11 @@ type Report struct {
 // the mapping search and the tapering sector sweep.
 func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 	start := time.Now()
-	h := p.Hamiltonian
-	name := p.Model
-	if h == nil && name == "" {
+	h, name := p.Hamiltonian, p.Model
+	switch {
+	case h == nil && name == "":
 		return nil, errors.New("compiler: pipeline needs a Model spec or a Hamiltonian")
-	}
-	if h != nil && name == "" {
+	case name == "":
 		name = "custom"
 	}
 	_, modelSpan := obs.StartSpan(ctx, "model.build")
