@@ -206,7 +206,7 @@ func run() error {
 				fmt.Printf("model %s: %d modes, %d second-quantized terms, %d Majorana monomials\n",
 					rep.Model, rep.Modes, rep.FermionTerms, rep.MajoranaTerms)
 			}
-			if err := report(rep, false, ""); err != nil {
+			if err := report(ctx, rep, false, ""); err != nil {
 				return err
 			}
 		}
@@ -223,7 +223,7 @@ func run() error {
 	if rep.Result.Method == "fh" && !rep.Result.Optimal {
 		fmt.Println("note: FH search hit its visit budget; result is approximate (*)")
 	}
-	return report(rep, *showStrings, *qasmOut)
+	return report(ctx, rep, *showStrings, *qasmOut)
 }
 
 // watchStatus is the slice of the job-status payload -watch reads: the
@@ -321,7 +321,7 @@ func parseOrderOption(spec string) (compiler.Option, error) {
 	return compiler.WithTermOrder(ord), nil
 }
 
-func report(rep *compiler.Report, showStrings bool, qasmOut string) error {
+func report(ctx context.Context, rep *compiler.Report, showStrings bool, qasmOut string) error {
 	m := rep.Result.Mapping
 	fmt.Printf("%-11s qubits=%d  pauli-weight=%-8d terms=%-7d cnot=%-8d u3=%-8d depth=%-8d vacuum=%v\n",
 		m.Name, m.Qubits(), rep.Weight, rep.Terms,
@@ -351,7 +351,10 @@ func report(rep *compiler.Report, showStrings bool, qasmOut string) error {
 		}
 		cc := rep.Circuit
 		if rep.Routed != nil {
-			cc = rep.Routed.Circuit
+			var err error
+			if cc, err = rep.Routed.Circuit(ctx); err != nil {
+				return err
+			}
 		}
 		if err := cc.WriteQASM(w); err != nil {
 			return err

@@ -46,8 +46,12 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	routed, err := res.Routed.Circuit(ctx)
+	if err != nil {
+		panic(err)
+	}
 	d, _ := arch.Lookup("montreal")
-	if err := arch.CheckCoupling(res.Routed.Circuit, d); err != nil {
+	if err := arch.CheckCoupling(routed, d); err != nil {
 		panic(err)
 	}
 	fmt.Printf("\ncoupling audit: every CNOT respects %s's %d couplers\n", d.Name, len(d.Edges()))

@@ -15,6 +15,15 @@ type RouteResult struct {
 	FinalLayout []int
 }
 
+// Fits reports, as an error, whether a circuit over n logical qubits is
+// too large for d.
+func (d *Device) Fits(n int) error {
+	if n > d.N {
+		return fmt.Errorf("arch: circuit needs %d qubits, %s has %d", n, d.Name, d.N)
+	}
+	return nil
+}
+
 // Route compiles a logical circuit onto a device ("tetris-lite"): logical
 // qubits get an initial greedy placement that co-locates frequently
 // interacting pairs on high-degree physical qubits, then each CNOT between
@@ -22,8 +31,8 @@ type RouteResult struct {
 // path with SWAPs (3 CNOTs each). Single-qubit gates pass through. The
 // result is optimized with the peephole pass.
 func Route(c *circuit.Circuit, d *Device) (*RouteResult, error) {
-	if c.N > d.N {
-		return nil, fmt.Errorf("arch: circuit needs %d qubits, %s has %d", c.N, d.Name, d.N)
+	if err := d.Fits(c.N); err != nil {
+		return nil, err
 	}
 	layout := initialLayout(c, d) // logical -> physical
 	phys := make([]int, d.N)      // physical -> logical (-1 = free)

@@ -544,9 +544,10 @@ func mappingStrings(m *mapping.Mapping) []string {
 
 // resultEnvelope renders a completed compile into the shared envelope.
 // withMapping gates the mapping strings, withQASM the routed circuit
-// text (orders of magnitude larger). Modes come from the mapping itself,
-// so job polls need no access to the original Hamiltonian.
-func resultEnvelope(model string, res *compiler.Result, elapsed time.Duration, withMapping, withQASM bool) compileResponse {
+// text (orders of magnitude larger), which a store hit derives here, on
+// first request, under ctx. Modes come from the mapping itself, so job
+// polls need no access to the original Hamiltonian.
+func resultEnvelope(ctx context.Context, model string, res *compiler.Result, elapsed time.Duration, withMapping, withQASM bool) (compileResponse, error) {
 	resp := compileResponse{
 		Model:       model,
 		Method:      res.Method,
@@ -570,11 +571,23 @@ func resultEnvelope(model string, res *compiler.Result, elapsed time.Duration, w
 			Depth:       r.Depth,
 			FinalLayout: r.FinalLayout,
 		}
-		if withQASM && r.Circuit != nil {
-			resp.Routed.QASM = r.Circuit.QASM()
+		if withQASM {
+			c, err := r.Circuit(ctx)
+			if err != nil {
+				return compileResponse{}, err
+			}
+			resp.Routed.QASM = c.QASM()
 		}
 	}
-	return resp
+	return resp, nil
+}
+
+// writeEnvelopeErr answers a compiled result that could not be
+// rendered: its routed circuit failed to derive or contradicted the
+// routed metrics stored with the mapping.
+func writeEnvelopeErr(w http.ResponseWriter, err error) {
+	//hatt:lint-ignore apierr the request was valid; a result that contradicts its own stored summary is a server fault
+	writeErr(w, http.StatusInternalServerError, err.Error())
 }
 
 // partialEnvelope renders a job's validated best-so-far into the same
@@ -663,7 +676,11 @@ func (a *API) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err.Error())
 		return
 	}
-	resp := resultEnvelope(req.Model, res, time.Since(start), req.Strings, req.routedQASM)
+	resp, err := resultEnvelope(r.Context(), req.Model, res, time.Since(start), req.Strings, req.routedQASM)
+	if err != nil {
+		writeEnvelopeErr(w, err)
+		return
+	}
 	if sc := obs.SpanContextFrom(r.Context()); sc.Valid() {
 		resp.TraceID = sc.TraceID.String()
 		if req.Trace {
@@ -760,7 +777,11 @@ func (a *API) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 			if j, jerr := a.mgr.lookup(id); jerr == nil {
 				withQASM = j.req.Strings
 			}
-			cr := resultEnvelope(st.Model, res, st.Elapsed, true, withQASM)
+			cr, err := resultEnvelope(r.Context(), st.Model, res, st.Elapsed, true, withQASM)
+			if err != nil {
+				writeEnvelopeErr(w, err)
+				return
+			}
 			resp.Result = &cr
 		}
 	}

@@ -2,11 +2,15 @@ package service
 
 import (
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/models"
+	"repro/internal/store"
+	"repro/pkg/compiler"
 )
 
 // TestCompileWithDeviceOverHTTP is the route-smoke path in miniature:
@@ -51,6 +55,17 @@ func TestCompileWithDeviceOverHTTP(t *testing.T) {
 	}
 	if got := st.Stats(); got.Hits != 1 || got.Misses != 1 {
 		t.Errorf("store stats = %+v", got)
+	}
+	// A hit without include_strings serves the stored summary: the same
+	// routed block, minus the circuit.
+	r4, b4 := postJSON(t, srv.URL+"/v1/compile",
+		`{"model":"hubbard:2x2","method":"hatt","device":"montreal"}`)
+	if r4.StatusCode != http.StatusOK || b4["cached"] != true {
+		t.Fatalf("summary hit: %d cached=%v", r4.StatusCode, b4["cached"])
+	}
+	delete(routed, "qasm")
+	if !reflect.DeepEqual(b4["routed"], any(routed)) {
+		t.Errorf("summary hit routed = %v, want %v", b4["routed"], routed)
 	}
 
 	// Without include_strings the metrics come back but not the circuit.
@@ -147,8 +162,55 @@ func TestAsyncJobCarriesRoutedMetrics(t *testing.T) {
 	}
 	_, body2 := getJSON(t, srv.URL+"/v1/jobs/"+id2)
 	routed2 := body2["result"].(map[string]any)["routed"].(map[string]any)
-	if qasm, _ := routed2["qasm"].(string); qasm == "" {
+	qasm, _ := routed2["qasm"].(string)
+	if qasm == "" {
 		t.Error("routed QASM missing despite include_strings")
+	}
+
+	// A repeat job is a store hit: its poll derives the circuit from the
+	// stored mapping, byte-identical to the first job's.
+	r3, b3 := postJSON(t, srv.URL+"/v1/jobs",
+		`{"model":"h2","method":"jw","device":"grid:2x3","include_strings":true}`)
+	if r3.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", r3.StatusCode, b3)
+	}
+	id3 := b3["id"].(string)
+	if _, err := mgr.Wait(t.Context(), id3); err != nil {
+		t.Fatal(err)
+	}
+	_, body3 := getJSON(t, srv.URL+"/v1/jobs/"+id3)
+	result3 := body3["result"].(map[string]any)
+	if result3["cached"] != true || result3["routed"].(map[string]any)["qasm"] != qasm {
+		t.Errorf("cached job: cached=%v, QASM byte-identical=%v", result3["cached"],
+			result3["routed"].(map[string]any)["qasm"] == qasm)
+	}
+}
+
+// TestRoutedSummaryContradictionIs500: QASM is never served next to
+// counts it contradicts. A stored summary that disagrees with the
+// circuit re-derived from the mapping fails the request that asked for
+// the circuit.
+func TestRoutedSummaryContradictionIs500(t *testing.T) {
+	srv, st, _ := testServer(t, "")
+	if r, b := postJSON(t, srv.URL+"/v1/compile", `{"model":"h2","method":"hatt","device":"montreal"}`); r.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %v", r.StatusCode, b)
+	}
+	h, err := models.Resolve("h2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.Key{Hamiltonian: h.Majorana(1e-12).Fingerprint(), Spec: "hatt",
+		Options: compiler.NewOptions(compiler.WithDevice("montreal")).Digest()}
+	e, ok := st.Get(key)
+	if !ok || e.Routed == nil {
+		t.Fatalf("entry %+v has no routed summary", e)
+	}
+	e.Routed.Depth++
+	st.Put(key, e)
+
+	r, b := postJSON(t, srv.URL+"/v1/compile", `{"model":"h2","method":"hatt","device":"montreal","include_strings":true}`)
+	if msg, _ := b["error"].(string); r.StatusCode != http.StatusInternalServerError || !strings.Contains(msg, "contradicts") {
+		t.Fatalf("contradicting summary with QASM: %d %v", r.StatusCode, b)
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,6 +74,24 @@ type Entry struct {
 	PredictedWeight int
 	Optimal         bool
 	Visited         int64
+	// Routed is the hardware summary of a routed compile. It lives in
+	// the memory tier only: the disk and wire encodings leave it out, so
+	// an entry loaded from disk or a peer arrives without one and every
+	// summary a node serves was computed by that node.
+	Routed *Routed
+}
+
+// Routed summarizes a compile's Trotter circuit after routing onto a
+// device: the metrics without the circuit, which is re-derivable from
+// the mapping.
+type Routed struct {
+	Device      string
+	PhysQubits  int
+	SwapsAdded  int
+	CNOTs       int
+	Singles     int
+	Depth       int
+	FinalLayout []int
 }
 
 // clone deep-copies the entry so cache internals never alias caller
@@ -86,6 +105,11 @@ func (e *Entry) clone() *Entry {
 			m.Majoranas[i] = s.Clone()
 		}
 		c.Mapping = &m
+	}
+	if e.Routed != nil {
+		r := *e.Routed
+		r.FinalLayout = slices.Clone(e.Routed.FinalLayout)
+		c.Routed = &r
 	}
 	return &c
 }

@@ -135,6 +135,57 @@ func TestDiskTierSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestRoutedSummaryMemoryOnly: the routed summary is deep-copied in
+// and out of the memory tier, and neither the disk file nor the wire
+// encoding carries it, so their bytes are those of an entry without one.
+func TestRoutedSummaryMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	k := key("routed")
+	plain, err := encodeEntry(k, testEntry(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry(t, 3)
+	e.Routed = &Routed{Device: "Montreal", PhysQubits: 27, SwapsAdded: 2, CNOTs: 30, Singles: 40, Depth: 25, FinalLayout: []int{4, 1, 7}}
+	s1, err := Open(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Put(k, e)
+	e.Routed.FinalLayout[0] = 99 // caller mutation after Put
+
+	got, ok := s1.Get(k)
+	if !ok || got.Routed == nil || got.Routed.CNOTs != 30 || got.Routed.FinalLayout[0] != 4 {
+		t.Fatalf("memory tier routed = %+v, want the stored summary", got.Routed)
+	}
+	got.Routed.FinalLayout[1] = 99 // caller mutation after Get
+	if again, _ := s1.Get(k); again.Routed.FinalLayout[1] != 1 {
+		t.Fatal("Get aliases the stored summary")
+	}
+
+	raw, err := os.ReadFile(s1.path(k.id()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(plain) {
+		t.Errorf("disk file differs from an entry without a summary:\n%s\n%s", raw, plain)
+	}
+	if decoded, err := decodeEntry(raw, k); err != nil || decoded.Routed != nil {
+		t.Errorf("decoded disk entry: routed=%+v err=%v, want no summary", decoded.Routed, err)
+	}
+	if wire, ok := s1.Export(k); !ok || string(wire) != string(plain) {
+		t.Errorf("export (ok=%v) differs from an entry without a summary", ok)
+	}
+
+	s2, err := Open(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get(k); !ok || got.Routed != nil {
+		t.Fatalf("reloaded entry: ok=%v routed=%+v, want no summary", ok, got.Routed)
+	}
+}
+
 func TestDiskCorruptionTolerated(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(8, dir)

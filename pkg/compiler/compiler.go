@@ -17,6 +17,7 @@ package compiler
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strconv"
 
@@ -26,6 +27,7 @@ import (
 	"repro/internal/fermion"
 	"repro/internal/mapping"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/tree"
 )
 
@@ -169,8 +171,9 @@ func WithAnnealRestarts(n int) Option {
 // WithProgress registers a callback for ProgressEvents. Every method
 // emits StageStart/StageDone; per-iteration StageSearch events currently
 // come from the anneal method, and a portfolio emits StageStart/StageDone
-// per racer under the racer's spec. Events are delivered synchronously
-// from the compiling goroutine; keep the callback cheap.
+// per racer under the racer's spec — except that a racer the shared
+// incumbent bound abandons emits no StageDone. Events are delivered
+// synchronously from the compiling goroutine; keep the callback cheap.
 func WithProgress(fn func(ProgressEvent)) Option { return func(o *Options) { o.Progress = fn } }
 
 // PartialResult is a validated best-so-far mapping delivered to a
@@ -273,30 +276,50 @@ func Compile(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, 
 // Pipeline.Run so both stages see the same resolved values. With a Store
 // attached it is the cache boundary: a content-address hit short-circuits
 // the method (the progress callback still sees StageStart/StageDone, so
-// observers need no cache awareness), a miss populates the store.
+// observers need no cache awareness), a miss populates the store. A
+// routed hit serves the routed summary stored with the mapping; an entry
+// without one (loaded from disk or a peer) is routed once and stored
+// back with it.
 func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, o Options) (*Result, error) {
 	m, err := Resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the target device up front so a bad spec fails before any
-	// search work (and before the store is consulted — the device spec is
-	// part of the content address).
+	// Resolve the target device up front so a bad spec or a device too
+	// small for the problem fails before any search work (and before the
+	// store is consulted — the device spec is part of the content
+	// address).
 	dev, err := o.routingDevice()
 	if err != nil {
 		return nil, err
 	}
+	if dev != nil && mh != nil {
+		if err := dev.Fits(mh.Modes); err != nil {
+			return nil, fmt.Errorf("compiler: routing onto %s: %w", dev.Name, err)
+		}
+	}
 	cacheable := o.Store != nil && mh != nil
+	var key store.Key
 	if cacheable {
+		key = storeKey(spec, mh, o)
 		gctx, getSpan := obs.StartSpan(ctx, "store.get")
 		getSpan.SetAttr("method", m.Name())
-		res, _, ok := storeLookup(gctx, spec, mh, o)
+		e, ok := storeLookup(gctx, key, o)
 		getSpan.SetAttr("hit", strconv.FormatBool(ok))
 		getSpan.End()
 		if ok {
+			res := cachedResult(e)
 			if dev != nil {
-				if err := attachRouted(ctx, res, mh, dev, o); err != nil {
-					return nil, err
+				derive := func(ctx context.Context) (*Routed, error) {
+					return route(ctx, res.Method, res.Mapping, mh, dev, o)
+				}
+				if e.Routed != nil {
+					res.Routed = routedSummary(e.Routed, derive)
+				} else {
+					if res.Routed, err = derive(ctx); err != nil {
+						return nil, err
+					}
+					storeSave(ctx, key, m.Name(), res, o)
 				}
 			}
 			o.emit(ProgressEvent{Method: m.Name(), Stage: StageStart})
@@ -312,16 +335,17 @@ func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltoni
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		_, putSpan := obs.StartSpan(ctx, "store.put")
-		putSpan.SetAttr("method", m.Name())
-		storeSave(storeKey(spec, mh, o), res, o)
-		putSpan.End()
-	}
+	// Route before the one Put, so the entry carries the summary; a
+	// routing failure still stores the mapping.
+	var routeErr error
 	if dev != nil {
-		if err := attachRouted(ctx, res, mh, dev, o); err != nil {
-			return nil, err
-		}
+		res.Routed, routeErr = route(ctx, res.Method, res.Mapping, mh, dev, o)
+	}
+	if cacheable {
+		storeSave(ctx, key, m.Name(), res, o)
+	}
+	if routeErr != nil {
+		return nil, routeErr
 	}
 	o.emit(ProgressEvent{Method: m.Name(), Stage: StageDone, BestWeight: res.PredictedWeight})
 	return res, nil

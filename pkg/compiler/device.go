@@ -3,12 +3,16 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/fermion"
+	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/pauli"
+	"repro/internal/store"
 )
 
 // WithDevice targets a catalog device by spec — "manhattan", "sycamore",
@@ -62,20 +66,28 @@ func (o Options) routingDevice() (*arch.Device, error) {
 	return arch.Lookup(o.DeviceName)
 }
 
-// Routed is the hardware-mapped view of a compilation: the synthesized
-// Trotter circuit after tetris-lite routing onto a coupling graph. The
-// routing pass is deterministic, so for a fixed mapping and synthesis
-// options the routed circuit is byte-identical on every run — including
-// runs served from a Store, which re-derive it from the cached mapping.
+// Routed is the hardware-mapped view of a compilation: the Trotter
+// circuit synthesized from the mapping and routed onto a coupling graph
+// by the tetris-lite pass. Routing is deterministic, so for a fixed
+// mapping, device and synthesis options the routed circuit is
+// byte-identical on every run.
+//
+// A compile served from a Store carries the metrics stored with the
+// mapping and synthesizes and routes nothing; Circuit derives the gates
+// on first use. A fresh compile carries the circuit it already built.
 type Routed struct {
-	Device      string           // device name, e.g. "Montreal"
-	PhysQubits  int              // device size; the routed circuit spans all of it
-	SwapsAdded  int              // SWAPs inserted (3 CNOTs each, pre-peephole)
-	CNOTs       int              // routed two-qubit gate count
-	Singles     int              // routed single-qubit (U3) gate count
-	Depth       int              // routed circuit depth
-	FinalLayout []int            // logical qubit → physical qubit after routing
-	Circuit     *circuit.Circuit // the routed, peephole-optimized circuit
+	Device      string // device name, e.g. "Montreal"
+	PhysQubits  int    // device size; the routed circuit spans all of it
+	SwapsAdded  int    // SWAPs inserted (3 CNOTs each, pre-peephole)
+	CNOTs       int    // routed two-qubit gate count
+	Singles     int    // routed single-qubit (U3) gate count
+	Depth       int    // routed circuit depth
+	FinalLayout []int  // logical qubit → physical qubit after routing
+
+	once    sync.Once
+	derive  func(context.Context) (*Routed, error) // rebuilds the circuit of a stored summary
+	circuit *circuit.Circuit
+	err     error
 
 	// The synthesis intermediates, stashed so Pipeline.Run doesn't pay
 	// for mapping application and Trotter synthesis a second time.
@@ -83,30 +95,72 @@ type Routed struct {
 	logical *circuit.Circuit
 }
 
-// attachRouted synthesizes the mapping's Trotter circuit with the
-// options' synthesis knobs and routes it onto dev, filling res.Routed.
-// It runs after the cache boundary on hits and misses alike: the store
-// persists only mappings, and re-deriving the routed circuit from one
-// is deterministic. ctx feeds the tracing seam only — synthesis and
-// routing are fast deterministic passes that do not check cancellation.
-func attachRouted(ctx context.Context, res *Result, mh *fermion.MajoranaHamiltonian, dev *arch.Device, o Options) error {
-	if res.Mapping == nil {
-		return fmt.Errorf("compiler: method %s produced no mapping to route", res.Method)
+// Circuit returns the routed, peephole-optimized circuit. On a result
+// served from a Store it synthesizes and routes the mapping once, under
+// the first caller's ctx (so the circuit.synthesis and circuit.route
+// spans land in that caller's trace), and returns an error if the
+// derived circuit contradicts the stored metrics. Safe for concurrent
+// use.
+func (r *Routed) Circuit(ctx context.Context) (*circuit.Circuit, error) {
+	r.once.Do(func() {
+		if r.circuit != nil {
+			return
+		}
+		d, err := r.derive(ctx)
+		if err == nil && !d.sameMetrics(r) {
+			err = fmt.Errorf("compiler: routed circuit on %s (%d swaps, %d CNOTs, %d U3s, depth %d) contradicts the stored summary (%d, %d, %d, %d)",
+				d.Device, d.SwapsAdded, d.CNOTs, d.Singles, d.Depth, r.SwapsAdded, r.CNOTs, r.Singles, r.Depth)
+		}
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.circuit, r.qubitH, r.logical = d.circuit, d.qubitH, d.logical
+	})
+	return r.circuit, r.err
+}
+
+func (r *Routed) sameMetrics(o *Routed) bool {
+	return r.Device == o.Device && r.PhysQubits == o.PhysQubits && r.SwapsAdded == o.SwapsAdded &&
+		r.CNOTs == o.CNOTs && r.Singles == o.Singles && r.Depth == o.Depth &&
+		slices.Equal(r.FinalLayout, o.FinalLayout)
+}
+
+// summary is the store's copy of r: the metrics without the circuit.
+func (r *Routed) summary() *store.Routed {
+	return &store.Routed{Device: r.Device, PhysQubits: r.PhysQubits, SwapsAdded: r.SwapsAdded,
+		CNOTs: r.CNOTs, Singles: r.Singles, Depth: r.Depth, FinalLayout: r.FinalLayout}
+}
+
+// routedSummary serves a stored summary; derive rebuilds its circuit
+// when Circuit is first called.
+func routedSummary(s *store.Routed, derive func(context.Context) (*Routed, error)) *Routed {
+	return &Routed{Device: s.Device, PhysQubits: s.PhysQubits, SwapsAdded: s.SwapsAdded,
+		CNOTs: s.CNOTs, Singles: s.Singles, Depth: s.Depth, FinalLayout: s.FinalLayout, derive: derive}
+}
+
+// route synthesizes the mapping's Trotter circuit with the options'
+// synthesis knobs and routes it onto dev. ctx feeds the tracing seam
+// only — synthesis and routing are fast deterministic passes that do
+// not check cancellation.
+func route(ctx context.Context, method string, m *mapping.Mapping, mh *fermion.MajoranaHamiltonian, dev *arch.Device, o Options) (*Routed, error) {
+	if m == nil {
+		return nil, fmt.Errorf("compiler: method %s produced no mapping to route", method)
 	}
 	_, synthSpan := obs.StartSpan(ctx, "circuit.synthesis")
-	synthSpan.SetAttr("method", res.Method)
-	hq := res.Mapping.Apply(mh)
+	synthSpan.SetAttr("method", method)
+	hq := m.Apply(mh)
 	logical := circuit.Optimize(circuit.SynthesizeTrotter(hq, o.TrotterTime, o.TrotterSteps, o.TermOrder))
 	synthSpan.End()
 	_, routeSpan := obs.StartSpan(ctx, "circuit.route")
-	routeSpan.SetAttr("method", res.Method)
+	routeSpan.SetAttr("method", method)
 	routeSpan.SetAttr("device", dev.Name)
 	rr, err := arch.Route(logical, dev)
 	routeSpan.End()
 	if err != nil {
-		return fmt.Errorf("compiler: routing onto %s: %w", dev.Name, err)
+		return nil, fmt.Errorf("compiler: routing onto %s: %w", dev.Name, err)
 	}
-	res.Routed = &Routed{
+	return &Routed{
 		Device:      dev.Name,
 		PhysQubits:  dev.N,
 		SwapsAdded:  rr.SwapsAdded,
@@ -114,9 +168,8 @@ func attachRouted(ctx context.Context, res *Result, mh *fermion.MajoranaHamilton
 		Singles:     rr.Circuit.SingleCount(),
 		Depth:       rr.Circuit.Depth(),
 		FinalLayout: rr.FinalLayout,
-		Circuit:     rr.Circuit,
+		circuit:     rr.Circuit,
 		qubitH:      hq,
 		logical:     logical,
-	}
-	return nil
+	}, nil
 }

@@ -2,12 +2,16 @@ package compiler
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/fermion"
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -33,14 +37,18 @@ func TestCompileWithDevice(t *testing.T) {
 	if r.Device != "Montreal" || r.PhysQubits != 27 {
 		t.Errorf("routed onto %q (%d qubits)", r.Device, r.PhysQubits)
 	}
-	if r.CNOTs <= 0 || r.Depth <= 0 || r.Circuit == nil {
-		t.Errorf("routed metrics empty: %+v", r)
+	c, err := r.Circuit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.CNOTs <= 0 || r.Depth <= 0 || c.CNOTCount() != r.CNOTs {
+		t.Errorf("routed metrics empty or off the circuit: %+v", r)
 	}
 	if len(r.FinalLayout) != res.Mapping.Qubits() {
 		t.Errorf("layout covers %d logical qubits, want %d", len(r.FinalLayout), res.Mapping.Qubits())
 	}
 	d, _ := arch.Lookup("montreal")
-	if err := arch.CheckCoupling(r.Circuit, d); err != nil {
+	if err := arch.CheckCoupling(c, d); err != nil {
 		t.Errorf("routed circuit violates coupling: %v", err)
 	}
 }
@@ -69,6 +77,33 @@ func TestCompileRejectsTooSmallDevice(t *testing.T) {
 	}
 }
 
+// TestTooSmallDeviceRefusedBeforeSearch pins that the size check runs
+// before the store and the search: nothing starts, nothing is stored.
+func TestTooSmallDeviceRefusedBeforeSearch(t *testing.T) {
+	st, err := store.Open(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []ProgressEvent
+	var cerr error
+	snap := traced(func(ctx context.Context) {
+		_, cerr = Compile(ctx, "hatt", deviceTestMH(t, "hubbard:3x3"), WithStore(st), WithDevice("linear:4"),
+			WithProgress(func(ev ProgressEvent) { events = append(events, ev) }))
+	})
+	if cerr == nil || !strings.Contains(cerr.Error(), "circuit needs 18 qubits, linear:4 has 4") {
+		t.Fatalf("err = %v, want the too-small-device error", cerr)
+	}
+	if len(events) != 0 {
+		t.Errorf("progress events %v, want none", events)
+	}
+	if n := spanCount(snap, "compile.search"); n != 0 {
+		t.Errorf("%d compile.search spans, want 0", n)
+	}
+	if s := st.Stats(); s.Puts != 0 || s.Hits+s.Misses != 0 {
+		t.Errorf("store stats = %+v, want untouched", s)
+	}
+}
+
 func TestCompileWithDeviceSpec(t *testing.T) {
 	d, err := arch.ParseDeviceJSON([]byte(`{"name":"ring6","qubits":6,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}`))
 	if err != nil {
@@ -81,7 +116,11 @@ func TestCompileWithDeviceSpec(t *testing.T) {
 	if res.Routed == nil || res.Routed.Device != "ring6" {
 		t.Fatalf("routed = %+v", res.Routed)
 	}
-	if err := arch.CheckCoupling(res.Routed.Circuit, d); err != nil {
+	c, err := res.Routed.Circuit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.CheckCoupling(c, d); err != nil {
 		t.Error(err)
 	}
 }
@@ -117,9 +156,59 @@ func TestDigestFoldsDevice(t *testing.T) {
 	}
 }
 
+// traced runs fn under a fresh tracer and returns the spans it recorded.
+func traced(fn func(ctx context.Context)) obs.TraceSnapshot {
+	tr := obs.NewTracer(4)
+	ctx, root := obs.StartSpan(obs.WithTracer(context.Background(), tr), "test")
+	fn(ctx)
+	root.End()
+	snap, _ := tr.Snapshot(root.Context().TraceID)
+	return snap
+}
+
+// spanCount counts the spans called name whose attributes include attrs
+// (key, value pairs).
+func spanCount(snap obs.TraceSnapshot, name string, attrs ...string) int {
+	n := 0
+	for _, s := range snap.Spans {
+		ok := s.Name == name
+		for i := 0; ok && i+1 < len(attrs); i += 2 {
+			ok = s.Attrs[attrs[i]] == attrs[i+1]
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// routedQASM derives r's circuit under a fresh tracer and returns its
+// QASM with the number of circuit.route spans the derivation recorded.
+func routedQASM(t *testing.T, r *Routed) (string, int) {
+	t.Helper()
+	var qasm string
+	snap := traced(func(ctx context.Context) {
+		c, err := r.Circuit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qasm = c.QASM()
+	})
+	return qasm, spanCount(snap, "circuit.route")
+}
+
+// sameRoutedMetrics reports whether two results carry identical routed
+// summaries.
+func sameRoutedMetrics(a, b *Routed) bool {
+	return a.Device == b.Device && a.PhysQubits == b.PhysQubits && a.SwapsAdded == b.SwapsAdded &&
+		a.CNOTs == b.CNOTs && a.Singles == b.Singles && a.Depth == b.Depth &&
+		slices.Equal(a.FinalLayout, b.FinalLayout)
+}
+
 // TestStoreServesRoutedByteIdentical is the acceptance property: a
-// repeated routed compile is served from the store and re-derives a
-// byte-identical routed circuit from the cached mapping.
+// repeated routed compile is served from the store without synthesizing
+// or routing, and its circuit, derived on demand, is byte-identical to
+// the fresh compile's.
 func TestStoreServesRoutedByteIdentical(t *testing.T) {
 	st, err := store.Open(16, "")
 	if err != nil {
@@ -134,19 +223,36 @@ func TestStoreServesRoutedByteIdentical(t *testing.T) {
 	if first.Cached || first.Routed == nil {
 		t.Fatalf("first compile: cached=%v routed=%v", first.Cached, first.Routed != nil)
 	}
-	second, err := Compile(context.Background(), "hatt", mh, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var second *Result
+	snap := traced(func(ctx context.Context) {
+		if second, err = Compile(ctx, "hatt", mh, opts...); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if !second.Cached || second.Routed == nil {
 		t.Fatalf("second compile: cached=%v routed=%v", second.Cached, second.Routed != nil)
 	}
-	if a, b := first.Routed.Circuit.QASM(), second.Routed.Circuit.QASM(); a != b {
+	if spanCount(snap, "store.get", "hit", "true") != 1 {
+		t.Errorf("second compile has no store.get hit span: %+v", snap.Spans)
+	}
+	for _, name := range []string{"circuit.synthesis", "circuit.route", "store.put"} {
+		if n := spanCount(snap, name); n != 0 {
+			t.Errorf("routed hit recorded %d %s spans, want 0", n, name)
+		}
+	}
+	if !sameRoutedMetrics(first.Routed, second.Routed) {
+		t.Errorf("cached routed metrics differ: %+v vs %+v", first.Routed, second.Routed)
+	}
+	want, _ := routedQASM(t, first.Routed)
+	got, routes := routedQASM(t, second.Routed)
+	if got != want {
 		t.Error("cached routed circuit not byte-identical")
 	}
-	if first.Routed.SwapsAdded != second.Routed.SwapsAdded ||
-		first.Routed.Depth != second.Routed.Depth {
-		t.Errorf("cached routed metrics differ: %+v vs %+v", first.Routed, second.Routed)
+	if routes != 1 {
+		t.Errorf("deriving the hit's circuit routed %d times, want 1", routes)
+	}
+	if _, again := routedQASM(t, second.Routed); again != 0 {
+		t.Errorf("a second Circuit call routed %d times, want 0", again)
 	}
 
 	// Routed and unrouted compilations are distinct content addresses:
@@ -161,6 +267,149 @@ func TestStoreServesRoutedByteIdentical(t *testing.T) {
 	s := st.Stats()
 	if s.Hits != 1 || s.Misses != 2 || s.Puts != 2 {
 		t.Errorf("store stats = %+v, want 1 hit / 2 misses / 2 puts", s)
+	}
+}
+
+// TestRoutedHitAfterDiskReload pins the memory-only summary: an entry
+// reloaded from disk carries none, so its first routed hit routes once
+// and stores the summary back; later hits route nothing.
+func TestRoutedHitAfterDiskReload(t *testing.T) {
+	dir := t.TempDir()
+	mh := deviceTestMH(t, "hubbard:2x2")
+	compile := func(st *store.Store) (*Result, int) {
+		t.Helper()
+		var res *Result
+		snap := traced(func(ctx context.Context) {
+			var err error
+			if res, err = Compile(ctx, "hatt", mh, WithStore(st), WithDevice("grid:3x3")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res, spanCount(snap, "circuit.route")
+	}
+	st1, err := store.Open(16, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, _ := compile(st1)
+	want, _ := routedQASM(t, miss.Routed)
+
+	st2, err := store.Open(16, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, routes := compile(st2)
+	if !reloaded.Cached || routes != 1 {
+		t.Fatalf("first hit after reload: cached=%v with %d routes, want cached with 1", reloaded.Cached, routes)
+	}
+	if !sameRoutedMetrics(miss.Routed, reloaded.Routed) {
+		t.Errorf("reloaded summary %+v, want %+v", reloaded.Routed, miss.Routed)
+	}
+	if got, again := routedQASM(t, reloaded.Routed); got != want || again != 0 {
+		t.Errorf("reloaded circuit: identical=%v, routed %d more times (want identical, 0)", got == want, again)
+	}
+	next, routes := compile(st2)
+	if !next.Cached || routes != 0 {
+		t.Errorf("next hit: cached=%v with %d routes, want cached with 0", next.Cached, routes)
+	}
+	if !sameRoutedMetrics(miss.Routed, next.Routed) {
+		t.Errorf("stored-back summary %+v, want %+v", next.Routed, miss.Routed)
+	}
+}
+
+// TestRoutedKeyCoversSynthesisKnobs: the summary depends on the Trotter
+// knobs, so a routed compile that changes one must not be served the
+// summary stored under the defaults.
+func TestRoutedKeyCoversSynthesisKnobs(t *testing.T) {
+	st, err := store.Open(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh := deviceTestMH(t, "hubbard:2x2")
+	ctx := context.Background()
+	if _, err := Compile(ctx, "hatt", mh, WithStore(st), WithDevice("grid:3x3")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Compile(ctx, "hatt", mh, WithStore(st), WithDevice("grid:3x3"), WithTrotterSteps(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compile(ctx, "hatt", mh, WithDevice("grid:3x3"), WithTrotterSteps(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Routed.CNOTs != want.Routed.CNOTs {
+		t.Errorf("two-step routed compile reports %d CNOTs, a storeless one %d", got.Routed.CNOTs, want.Routed.CNOTs)
+	}
+}
+
+// TestRoutedCircuitConcurrent derives one hit's circuit from many
+// goroutines at once, as concurrent job polls do; run under -race.
+func TestRoutedCircuitConcurrent(t *testing.T) {
+	st, err := store.Open(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh := deviceTestMH(t, "hubbard:2x2")
+	opts := []Option{WithStore(st), WithDevice("montreal")}
+	if _, err := Compile(context.Background(), "hatt", mh, opts...); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Compile(context.Background(), "hatt", mh, opts...)
+	if err != nil || !hit.Cached {
+		t.Fatalf("hit: cached=%v err=%v", hit != nil && hit.Cached, err)
+	}
+	circuits := make([]*circuit.Circuit, 8)
+	var wg sync.WaitGroup
+	for i := range circuits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := hit.Routed.Circuit(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			circuits[i] = c
+		}()
+	}
+	wg.Wait()
+	for i, c := range circuits {
+		if c == nil || c != circuits[0] {
+			t.Fatalf("goroutine %d got circuit %p, goroutine 0 got %p", i, c, circuits[0])
+		}
+	}
+}
+
+// TestRoutedCircuitContradictingSummary: a derived circuit that
+// disagrees with the stored metrics is an error, never a circuit.
+func TestRoutedCircuitContradictingSummary(t *testing.T) {
+	st, err := store.Open(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh := deviceTestMH(t, "h2")
+	opts := []Option{WithStore(st), WithDevice("montreal")}
+	fresh, err := Compile(context.Background(), "hatt", mh, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey("hatt", mh, NewOptions(opts...))
+	e, ok := st.Get(key)
+	if !ok || e.Routed == nil {
+		t.Fatalf("stored entry %+v has no routed summary", e)
+	}
+	e.Routed.CNOTs++
+	st.Put(key, e)
+	hit, err := Compile(context.Background(), "hatt", mh, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Routed.CNOTs != fresh.Routed.CNOTs+1 {
+		t.Fatalf("hit reports %d CNOTs, want the stored %d", hit.Routed.CNOTs, fresh.Routed.CNOTs+1)
+	}
+	c, err := hit.Routed.Circuit(context.Background())
+	if err == nil || c != nil || !strings.Contains(err.Error(), "contradicts the stored summary") {
+		t.Fatalf("Circuit = %v, %v; want a contradiction error", c, err)
 	}
 }
 

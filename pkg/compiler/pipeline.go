@@ -64,7 +64,8 @@ type Report struct {
 	VacuumPreserved bool
 
 	// Routed mirrors Result.Routed: the hardware-mapped circuit and its
-	// metrics when the options target a device, nil otherwise.
+	// metrics when the options target a device, nil otherwise. Run has
+	// already derived its circuit, so Routed.Circuit returns at once.
 	Routed *Routed
 
 	Tapered *TaperReport // nil unless Taper was requested
@@ -107,12 +108,15 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("compiler: mapping failed verification: %w", err)
 	}
 
-	// With a device targeted, compileWith already applied the mapping and
-	// synthesized the logical circuit on the way to routing — reuse those
-	// instead of paying for synthesis twice.
+	// With a device targeted, routing already applied the mapping and
+	// synthesized the logical circuit (on a store hit, Circuit does so
+	// now) — reuse those instead of paying for synthesis twice.
 	var hq *pauli.Hamiltonian
 	var cc *circuit.Circuit
-	if r := res.Routed; r != nil && r.qubitH != nil && r.logical != nil {
+	if r := res.Routed; r != nil {
+		if _, err := r.Circuit(ctx); err != nil {
+			return nil, err
+		}
 		hq, cc = r.qubitH, r.logical
 	} else {
 		_, synthSpan := obs.StartSpan(ctx, "circuit.synthesis")

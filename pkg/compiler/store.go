@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fermion"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -40,28 +41,26 @@ type ContextStore interface {
 func WithStore(s Store) Option { return func(o *Options) { o.Store = s } }
 
 // Digest returns a canonical encoding of the options that can change a
-// compiled mapping, used as the third component of the store key. Two
+// compiled result, used as the third component of the store key. Two
 // Options values with equal digests are guaranteed to compile every
 // (Hamiltonian, spec) pair identically, so they may share cache entries.
 //
 // Deliberately excluded: Parallelism (the engine's reproducibility
 // guarantee — a fixed seed compiles byte-identically at every worker
-// count), Progress (an observer), Store itself, and the Pipeline
-// synthesis knobs (TrotterSteps, TrotterTime, TermOrder), which shape the
-// synthesized circuit downstream of the mapping, not the mapping.
+// count), Progress (an observer), and Store itself.
 //
-// The target device IS folded in (as ";dev=<spec-or-fingerprint>",
-// omitted when no device is set so pre-existing unrouted entries stay
-// addressable): routed and unrouted compilations of the same problem
-// occupy separate store entries, even though the entry payload is the
-// mapping either way — the routed circuit is re-derived
-// deterministically from it on every hit.
+// The target device IS folded in (as ";dev=<spec-or-fingerprint>"),
+// together with the synthesis knobs TrotterSteps, TrotterTime and
+// TermOrder: a routed entry keeps the routed summary next to the
+// mapping, and the summary depends on all four. Without a device the
+// synthesis knobs shape nothing the store holds, so they stay out, and
+// unrouted digests keep the form earlier versions wrote to disk.
 func (o Options) Digest() string {
 	d := fmt.Sprintf("v1;bw=%d;vb=%d;ai=%d;ats=%g;ate=%g;tb=%d;seed=%d;ar=%d",
 		o.BeamWidth, o.VisitBudget, o.AnnealIters, o.AnnealTStart, o.AnnealTEnd,
 		o.TieBreak, o.Seed, o.AnnealRestarts)
 	if dev := o.deviceDigest(); dev != "" {
-		d += ";dev=" + dev
+		d += fmt.Sprintf(";dev=%s;ts=%d;tt=%g;to=%d", dev, o.TrotterSteps, o.TrotterTime, o.TermOrder)
 	}
 	return d
 }
@@ -71,24 +70,18 @@ func storeKey(spec string, mh *fermion.MajoranaHamiltonian, o Options) store.Key
 	return store.Key{Hamiltonian: mh.Fingerprint(), Spec: spec, Options: o.Digest()}
 }
 
-// storeLookup consults the attached store, converting a stored entry
-// back into a Result. The caller's context rides along when the store
-// supports it (ContextStore), so cancelling the compile aborts an
-// in-flight peer fetch too.
-func storeLookup(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, o Options) (*Result, store.Key, bool) {
-	key := storeKey(spec, mh, o)
-	var (
-		e  *store.Entry
-		ok bool
-	)
+// storeLookup consults the attached store. The caller's context rides
+// along when the store supports it (ContextStore), so cancelling the
+// compile aborts an in-flight peer fetch too.
+func storeLookup(ctx context.Context, key store.Key, o Options) (*store.Entry, bool) {
 	if cs, hasCtx := o.Store.(ContextStore); hasCtx {
-		e, ok = cs.GetContext(ctx, key)
-	} else {
-		e, ok = o.Store.Get(key)
+		return cs.GetContext(ctx, key)
 	}
-	if !ok {
-		return nil, key, false
-	}
+	return o.Store.Get(key)
+}
+
+// cachedResult converts a stored entry back into a Result.
+func cachedResult(e *store.Entry) *Result {
 	return &Result{
 		Method:          e.Method,
 		Mapping:         e.Mapping,
@@ -96,16 +89,24 @@ func storeLookup(ctx context.Context, spec string, mh *fermion.MajoranaHamiltoni
 		Optimal:         e.Optimal,
 		Visited:         e.Visited,
 		Cached:          true,
-	}, key, true
+	}
 }
 
-// storeSave records a freshly compiled result under the precomputed key.
-func storeSave(key store.Key, res *Result, o Options) {
-	o.Store.Put(key, &store.Entry{
+// storeSave records a result of the named method, and its routed
+// summary when it has one, under key.
+func storeSave(ctx context.Context, key store.Key, name string, res *Result, o Options) {
+	_, putSpan := obs.StartSpan(ctx, "store.put")
+	putSpan.SetAttr("method", name)
+	e := &store.Entry{
 		Method:          res.Method,
 		Mapping:         res.Mapping,
 		PredictedWeight: res.PredictedWeight,
 		Optimal:         res.Optimal,
 		Visited:         res.Visited,
-	})
+	}
+	if res.Routed != nil {
+		e.Routed = res.Routed.summary()
+	}
+	o.Store.Put(key, e)
+	putSpan.End()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/models"
 	"repro/internal/store"
 )
@@ -21,6 +22,27 @@ func TestOptionsDigestSemantics(t *testing.T) {
 	} {
 		if o.Digest() != base.Digest() {
 			t.Fatalf("%s changed the digest: %s vs %s", name, o.Digest(), base.Digest())
+		}
+	}
+	// With a device set, the synthesis knobs shape the stored routed
+	// summary, so each must change the digest.
+	routed := NewOptions(WithDevice("montreal"))
+	for name, o := range map[string]Options{
+		"trotter steps": NewOptions(WithDevice("montreal"), WithTrotterSteps(2)),
+		"trotter time":  NewOptions(WithDevice("montreal"), WithTrotterTime(0.5)),
+		"term order":    NewOptions(WithDevice("montreal"), WithTermOrder(circuit.OrderGreedyOverlap)),
+	} {
+		if o.Digest() == routed.Digest() {
+			t.Fatalf("routed %s did not change the digest", name)
+		}
+	}
+	for name, o := range map[string]Options{
+		"trotter steps": NewOptions(WithTrotterSteps(2)),
+		"trotter time":  NewOptions(WithTrotterTime(0.5)),
+		"term order":    NewOptions(WithTermOrder(circuit.OrderGreedyOverlap)),
+	} {
+		if o.Digest() != base.Digest() {
+			t.Fatalf("unrouted %s changed the digest", name)
 		}
 	}
 	// Result-affecting knobs must.
