@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -197,14 +196,6 @@ func routedQASM(t *testing.T, r *Routed) (string, int) {
 	return qasm, spanCount(snap, "circuit.route")
 }
 
-// sameRoutedMetrics reports whether two results carry identical routed
-// summaries.
-func sameRoutedMetrics(a, b *Routed) bool {
-	return a.Device == b.Device && a.PhysQubits == b.PhysQubits && a.SwapsAdded == b.SwapsAdded &&
-		a.CNOTs == b.CNOTs && a.Singles == b.Singles && a.Depth == b.Depth &&
-		slices.Equal(a.FinalLayout, b.FinalLayout)
-}
-
 // TestStoreServesRoutedByteIdentical is the acceptance property: a
 // repeated routed compile is served from the store without synthesizing
 // or routing, and its circuit, derived on demand, is byte-identical to
@@ -240,7 +231,7 @@ func TestStoreServesRoutedByteIdentical(t *testing.T) {
 			t.Errorf("routed hit recorded %d %s spans, want 0", n, name)
 		}
 	}
-	if !sameRoutedMetrics(first.Routed, second.Routed) {
+	if !first.Routed.sameMetrics(second.Routed) {
 		t.Errorf("cached routed metrics differ: %+v vs %+v", first.Routed, second.Routed)
 	}
 	want, _ := routedQASM(t, first.Routed)
@@ -302,7 +293,7 @@ func TestRoutedHitAfterDiskReload(t *testing.T) {
 	if !reloaded.Cached || routes != 1 {
 		t.Fatalf("first hit after reload: cached=%v with %d routes, want cached with 1", reloaded.Cached, routes)
 	}
-	if !sameRoutedMetrics(miss.Routed, reloaded.Routed) {
+	if !miss.Routed.sameMetrics(reloaded.Routed) {
 		t.Errorf("reloaded summary %+v, want %+v", reloaded.Routed, miss.Routed)
 	}
 	if got, again := routedQASM(t, reloaded.Routed); got != want || again != 0 {
@@ -312,7 +303,7 @@ func TestRoutedHitAfterDiskReload(t *testing.T) {
 	if !next.Cached || routes != 0 {
 		t.Errorf("next hit: cached=%v with %d routes, want cached with 0", next.Cached, routes)
 	}
-	if !sameRoutedMetrics(miss.Routed, next.Routed) {
+	if !miss.Routed.sameMetrics(next.Routed) {
 		t.Errorf("stored-back summary %+v, want %+v", next.Routed, miss.Routed)
 	}
 }
