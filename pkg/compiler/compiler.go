@@ -252,8 +252,9 @@ type Result struct {
 	Optimal         bool
 	Visited         int64
 	Cached          bool
-	// Routed carries the hardware-mapped circuit and its metrics when a
-	// device was targeted with WithDevice/WithDeviceSpec; nil otherwise.
+	// Routed carries the routed metrics, and through Routed.Circuit the
+	// routed circuit, when a device was targeted with
+	// WithDevice/WithDeviceSpec; nil otherwise.
 	Routed *Routed
 }
 
@@ -310,13 +311,10 @@ func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltoni
 		if ok {
 			res := cachedResult(e)
 			if dev != nil {
-				derive := func(ctx context.Context) (*Routed, error) {
-					return route(ctx, res.Method, res.Mapping, mh, dev, o)
-				}
 				if e.Routed != nil {
-					res.Routed = routedSummary(e.Routed, derive)
+					res.Routed = routedSummary(e.Routed, res, mh, dev, o)
 				} else {
-					if res.Routed, err = derive(ctx); err != nil {
+					if res.Routed, err = route(ctx, res.Method, res.Mapping, mh, dev, o); err != nil {
 						return nil, err
 					}
 					storeSave(ctx, key, m.Name(), res, o)

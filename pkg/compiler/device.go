@@ -132,11 +132,14 @@ func (r *Routed) summary() *store.Routed {
 		CNOTs: r.CNOTs, Singles: r.Singles, Depth: r.Depth, FinalLayout: r.FinalLayout}
 }
 
-// routedSummary serves a stored summary; derive rebuilds its circuit
-// when Circuit is first called.
-func routedSummary(s *store.Routed, derive func(context.Context) (*Routed, error)) *Routed {
+// routedSummary serves the summary stored with a cached result;
+// Circuit routes the result's mapping when first called.
+func routedSummary(s *store.Routed, res *Result, mh *fermion.MajoranaHamiltonian, dev *arch.Device, o Options) *Routed {
 	return &Routed{Device: s.Device, PhysQubits: s.PhysQubits, SwapsAdded: s.SwapsAdded,
-		CNOTs: s.CNOTs, Singles: s.Singles, Depth: s.Depth, FinalLayout: s.FinalLayout, derive: derive}
+		CNOTs: s.CNOTs, Singles: s.Singles, Depth: s.Depth, FinalLayout: s.FinalLayout,
+		derive: func(ctx context.Context) (*Routed, error) {
+			return route(ctx, res.Method, res.Mapping, mh, dev, o)
+		}}
 }
 
 // route synthesizes the mapping's Trotter circuit with the options'

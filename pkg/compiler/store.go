@@ -36,8 +36,9 @@ type ContextStore interface {
 // Options.Digest) and returns the stored mapping on a hit — skipping the
 // search entirely and marking the Result as Cached; on a miss the
 // compiled result is stored for the next caller. Results served from a
-// store carry a nil Tree: only the mapping and its scalar outcome fields
-// cross the cache boundary.
+// store carry a nil Tree: only the mapping, its scalar outcome fields
+// and, for a routed compile, the routed metrics cross the cache
+// boundary.
 func WithStore(s Store) Option { return func(o *Options) { o.Store = s } }
 
 // Digest returns a canonical encoding of the options that can change a
