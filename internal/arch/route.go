@@ -15,8 +15,8 @@ type RouteResult struct {
 	FinalLayout []int
 }
 
-// Fits reports, as an error, whether a circuit over n logical qubits is
-// too large for d.
+// Fits returns an error when a circuit over n logical qubits does not
+// fit on d.
 func (d *Device) Fits(n int) error {
 	if n > d.N {
 		return fmt.Errorf("arch: circuit needs %d qubits, %s has %d", n, d.Name, d.N)

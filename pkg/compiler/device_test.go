@@ -69,16 +69,9 @@ func TestCompileRejectsUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsTooSmallDevice pins that the size check runs before
+// the store and the search: nothing starts, nothing is stored.
 func TestCompileRejectsTooSmallDevice(t *testing.T) {
-	_, err := Compile(context.Background(), "hatt", deviceTestMH(t, "hubbard:2x2"), WithDevice("linear:4"))
-	if err == nil {
-		t.Fatal("8-qubit problem routed onto 4-qubit device")
-	}
-}
-
-// TestTooSmallDeviceRefusedBeforeSearch pins that the size check runs
-// before the store and the search: nothing starts, nothing is stored.
-func TestTooSmallDeviceRefusedBeforeSearch(t *testing.T) {
 	st, err := store.Open(16, "")
 	if err != nil {
 		t.Fatal(err)
