@@ -276,14 +276,29 @@ func BenchmarkExhaustiveSearch2x2Budget(b *testing.B) {
 	}
 }
 
-func BenchmarkAnneal2x3(b *testing.B) {
-	mh := models.FermiHubbard(2, 3, 1, 4).Majorana(1e-12)
-	ctx, weight := context.Background(), weightOf(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if weight(core.Anneal(ctx, mh, core.Options{Iters: 500, Seed: int64(i + 1)})) <= 0 {
-			b.Fatal("bad weight")
+// searchBenchModels are hattbench miss-search's models, the traffic the
+// anneal and beam searches serve.
+var searchBenchModels = []string{"hubbard:2x3", "hubbard:3x3", "neutrino:3x2"}
+
+// BenchmarkAnneal times one default-schedule anneal per model, a fresh
+// seed per run, as a seeded anneal request compiles it.
+func BenchmarkAnneal(b *testing.B) {
+	ctx := context.Background()
+	for _, spec := range searchBenchModels {
+		h, err := models.Resolve(spec)
+		if err != nil {
+			b.Fatal(err)
 		}
+		mh := h.Majorana(1e-12)
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			weight := weightOf(b)
+			for i := 0; i < b.N; i++ {
+				if weight(core.Anneal(ctx, mh, core.Options{Seed: int64(i + 1)})) <= 0 {
+					b.Fatal("bad weight")
+				}
+			}
+		})
 	}
 }
 
@@ -310,14 +325,25 @@ func BenchmarkCircuitCompileH2O(b *testing.B) {
 	}
 }
 
-func BenchmarkBeamSearch2x2Width8(b *testing.B) {
-	mh := models.FermiHubbard(2, 2, 1, 4).Majorana(1e-12)
-	ctx, weight := context.Background(), weightOf(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if weight(core.Beam(ctx, mh, core.Options{Width: 8})) <= 0 {
-			b.Fatal("bad weight")
+// BenchmarkBeam times beam search at width 4, the width a portfolio
+// races by default, per model.
+func BenchmarkBeam(b *testing.B) {
+	ctx := context.Background()
+	for _, spec := range searchBenchModels {
+		h, err := models.Resolve(spec)
+		if err != nil {
+			b.Fatal(err)
 		}
+		mh := h.Majorana(1e-12)
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			weight := weightOf(b)
+			for i := 0; i < b.N; i++ {
+				if weight(core.Beam(ctx, mh, core.Options{Width: 4})) <= 0 {
+					b.Fatal("bad weight")
+				}
+			}
+		})
 	}
 }
 

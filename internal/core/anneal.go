@@ -84,7 +84,8 @@ func Anneal(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) 
 func annealChain(ctx context.Context, seed *builder, opts Options) (*Result, error) {
 	p := seed.p
 	cur := seed.finish()
-	curW := p.evaluateTree(cur)
+	ev := newTreeEval(seed)
+	curW := ev.total
 	best := cloneTree(cur)
 	bestW := curW
 	// Every non-identity term settles at least one Pauli letter under any
@@ -118,12 +119,11 @@ func annealChain(ctx context.Context, seed *builder, opts Options) (*Result, err
 		}
 		a := all[r.Intn(len(all))]
 		b := all[r.Intn(len(all))]
-		if a == b || a.Parent == nil || b.Parent == nil || related(a, b) {
+		if !ev.swap(a, b) {
 			temp *= cool
 			continue
 		}
-		swapNodes(a, b)
-		w := p.evaluateTree(cur)
+		w := ev.total
 		delta := float64(w - curW)
 		if delta <= 0 || r.Float64() < math.Exp(-delta/temp) {
 			curW = w
@@ -132,7 +132,7 @@ func annealChain(ctx context.Context, seed *builder, opts Options) (*Result, err
 				best = cloneTree(cur)
 			}
 		} else {
-			swapNodes(a, b) // revert
+			ev.revert(a, b)
 		}
 		temp *= cool
 	}
@@ -153,19 +153,129 @@ func annealResult(best *tree.Tree, bestW int) *Result {
 	}
 }
 
-// related reports whether one node is an ancestor of the other.
-func related(a, b *tree.Node) bool {
+// treeEval scores one chain's tree incrementally. It holds every
+// node's subtree parity bitset in one backing array indexed by node ID,
+// every internal node's settled weight, and their running total. A swap
+// of a and b changes only the nodes strictly between each swapped node
+// and their lowest common ancestor (LCA): each of those gains one and
+// loses the other, so its parity flips by par[a] ^ par[b]. Those nodes
+// and the LCA are re-scored; nothing above the LCA moves. A rejected
+// swap applies the same XOR again, since XOR undoes itself, and restores
+// the settled weights from an undo log.
+type treeEval struct {
+	words   int
+	par     []uint64 // node ID → par[ID*words : (ID+1)*words]
+	settled []int    // internal node ID → settled weight
+	total   int
+	// mark[ID] == epoch flags the ancestors of the pending swap's a.
+	mark  []int
+	epoch int
+	// The pending swap: its LCA, the weights it overwrote and the total
+	// before it.
+	lca   *tree.Node
+	undo  []settledUndo
+	nUndo int
+	prev  int
+}
+
+// settledUndo is one overwritten settled weight.
+type settledUndo struct{ id, w int }
+
+// newTreeEval reads the seed construction's parities and settled
+// weights; their total is the seed's predicted weight.
+func newTreeEval(seed *builder) *treeEval {
+	p := seed.p
+	e := &treeEval{
+		words:   p.words,
+		par:     make([]uint64, len(seed.bits)*p.words),
+		settled: make([]int, len(seed.bits)),
+		mark:    make([]int, len(seed.bits)),
+		// A swap re-scores distinct internal nodes: at most n.
+		undo: make([]settledUndo, p.n),
+	}
+	for id, b := range seed.bits {
+		copy(e.bits(id), b)
+	}
+	for i, m := range seed.log {
+		w := settledWeight(seed.bits[m[0]], seed.bits[m[1]], seed.bits[m[2]])
+		e.settled[2*p.n+1+i] = w
+		e.total += w
+	}
+	return e
+}
+
+// bits is the parity bitset of node id, a view into par.
+//
+//hatt:noalloc
+func (e *treeEval) bits(id int) termBits {
+	return e.par[id*e.words : (id+1)*e.words]
+}
+
+// swap exchanges a and b and re-scores the tree. It changes nothing and
+// reports false when one node is an ancestor of the other, which
+// includes a == b and either one being the root.
+//
+//hatt:noalloc
+func (e *treeEval) swap(a, b *tree.Node) bool {
+	e.epoch++
 	for n := a; n != nil; n = n.Parent {
-		if n == b {
-			return true
+		e.mark[n.ID] = e.epoch
+	}
+	lca := b
+	for e.mark[lca.ID] != e.epoch {
+		lca = lca.Parent
+	}
+	if lca == a || lca == b {
+		return false
+	}
+	e.lca, e.nUndo, e.prev = lca, 0, e.total
+	swapNodes(a, b)
+	e.flipPath(b, a, b, true) // b now hangs where a did
+	e.flipPath(a, a, b, true)
+	e.rescore(lca)
+	return true
+}
+
+// revert undoes the last successful swap(a, b).
+//
+//hatt:noalloc
+func (e *treeEval) revert(a, b *tree.Node) {
+	swapNodes(a, b)
+	e.flipPath(a, a, b, false)
+	e.flipPath(b, a, b, false)
+	for _, u := range e.undo[:e.nUndo] {
+		e.settled[u.id] = u.w
+	}
+	e.total = e.prev
+}
+
+// flipPath XORs par[a] ^ par[b] into every ancestor of from strictly
+// below the pending swap's LCA, re-scoring each one when rescore is set.
+//
+//hatt:noalloc
+func (e *treeEval) flipPath(from, a, b *tree.Node, rescore bool) {
+	pa, pb := e.bits(a.ID), e.bits(b.ID)
+	for n := from.Parent; n != e.lca; n = n.Parent {
+		p := e.bits(n.ID)
+		for i := range p {
+			p[i] ^= pa[i] ^ pb[i]
+		}
+		if rescore {
+			e.rescore(n)
 		}
 	}
-	for n := b; n != nil; n = n.Parent {
-		if n == a {
-			return true
-		}
-	}
-	return false
+}
+
+// rescore recomputes n's settled weight from its children's parities,
+// logging the old weight for revert.
+//
+//hatt:noalloc
+func (e *treeEval) rescore(n *tree.Node) {
+	w := settledWeight(e.bits(n.Child[tree.BX].ID), e.bits(n.Child[tree.BY].ID), e.bits(n.Child[tree.BZ].ID))
+	e.undo[e.nUndo] = settledUndo{n.ID, e.settled[n.ID]}
+	e.nUndo++
+	e.total += w - e.settled[n.ID]
+	e.settled[n.ID] = w
 }
 
 // swapNodes exchanges the tree positions of two unrelated non-root nodes.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sort"
 
 	"repro/internal/fermion"
 )
@@ -18,8 +17,9 @@ import (
 //
 // It reads Width, Workers, Bound and BoundPos; it ignores TieBreak.
 // Candidates are enumerated in a deterministic order, scored into an
-// index-addressed slice over the worker pool, and the beam is pruned with
-// a stable sort, so the result is byte-identical at every worker count.
+// index-addressed slice over the worker pool, and the beam keeps the
+// Width lowest (weight, enumeration position) pairs in that order, so the
+// result is byte-identical at every worker count.
 // The context is checked before each beam entry is expanded.
 //
 // The bound is consulted once per step against the minimum accumulated
@@ -39,6 +39,7 @@ func Beam(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*
 	}
 	var trips []triple
 	var cands []cand
+	var keep []int
 	bounded := false
 	for i := 0; i < n; i++ {
 		minAcc := beams[0].predicted
@@ -68,12 +69,12 @@ func Beam(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*
 		}); err != nil {
 			return nil, err
 		}
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].acc < cands[b].acc })
-		if len(cands) > width {
-			cands = cands[:width]
-		}
-		next := make([]*builder, 0, len(cands))
-		for _, c := range cands {
+		keep = lowest(keep[:0], len(cands), width, func(a, b int) bool {
+			return cands[a].acc < cands[b].acc || cands[a].acc == cands[b].acc && a < b
+		})
+		next := make([]*builder, 0, len(keep))
+		for _, j := range keep {
+			c := &cands[j]
 			child := c.parent.clone()
 			child.merge(i, c.x, c.y, c.z)
 			next = append(next, child)
@@ -114,4 +115,45 @@ func Beam(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*
 		}
 	}
 	return best.result("HATT-beam"), nil
+}
+
+// lowest appends to dst the k lowest of positions 0..n-1 under the strict
+// total order less, in ascending order: the prefix a stable sort would
+// keep, at O(n log k). A max-heap holds the k lowest seen so far; its
+// root is the one the next lower position evicts.
+func lowest(dst []int, n, k int, less func(i, j int) bool) []int {
+	h := dst
+	down := func(i, end int) {
+		for {
+			c := 2*i + 1
+			if c >= end {
+				return
+			}
+			if c+1 < end && less(h[c], h[c+1]) {
+				c++
+			}
+			if !less(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for j := 0; j < n; j++ {
+		switch {
+		case len(h) < k:
+			h = append(h, j)
+			for i := len(h) - 1; i > 0 && less(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+		case less(j, h[0]):
+			h[0] = j
+			down(0, len(h))
+		}
+	}
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		down(0, end)
+	}
+	return h
 }

@@ -302,7 +302,7 @@ func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltoni
 	cacheable := o.Store != nil && mh != nil
 	var key store.Key
 	if cacheable {
-		key = storeKey(spec, mh, o)
+		key = storeKey(spec, mh, o, dev)
 		gctx, getSpan := obs.StartSpan(ctx, "store.get")
 		getSpan.SetAttr("method", m.Name())
 		e, ok := storeLookup(gctx, key, o)

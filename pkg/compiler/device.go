@@ -33,7 +33,8 @@ func WithDeviceSpec(d *arch.Device) Option {
 	return func(o *Options) { o.Device = d; o.DeviceName = "" }
 }
 
-// deviceDigest is the device component of Options.Digest: the
+// deviceDigest is the device component of Options.Digest, given the
+// device routingDevice resolved (nil when none or unresolvable): the
 // canonical catalog spec for named devices, a content fingerprint for
 // custom ones, "" when compilation is hardware-oblivious. Routed and
 // unrouted compilations of the same problem therefore occupy separate
@@ -41,14 +42,13 @@ func WithDeviceSpec(d *arch.Device) Option {
 // name, so equivalent spellings ("linear:08", "LINEAR:8") share one
 // content address; an unresolvable spec falls back to its normalized
 // text — harmless, since compileWith rejects it before any store access.
-func (o Options) deviceDigest() string {
+func (o Options) deviceDigest(dev *arch.Device) string {
 	switch {
 	case o.Device != nil:
 		return "custom:" + o.Device.Fingerprint()
+	case dev != nil:
+		return arch.Normalize(dev.Name)
 	case o.DeviceName != "":
-		if d, err := arch.Lookup(o.DeviceName); err == nil {
-			return arch.Normalize(d.Name)
-		}
 		return arch.Normalize(o.DeviceName)
 	}
 	return ""

@@ -117,6 +117,42 @@ func TestCompileWithDeviceSpec(t *testing.T) {
 	}
 }
 
+// keyRecorder is a Store that records the keys a compile reads and
+// writes.
+type keyRecorder struct{ gets, puts []store.Key }
+
+func (r *keyRecorder) Get(key store.Key) (*store.Entry, bool) {
+	r.gets = append(r.gets, key)
+	return nil, false
+}
+
+func (r *keyRecorder) Put(key store.Key, _ *store.Entry) { r.puts = append(r.puts, key) }
+
+// TestRoutedStoreKeyMatchesDigest checks that a routed compile, which
+// builds the key's device part from the device it resolved, stores under
+// the key Options.Digest describes.
+func TestRoutedStoreKeyMatchesDigest(t *testing.T) {
+	ring, err := arch.ParseDeviceJSON([]byte(`{"name":"ring6","qubits":6,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh := deviceTestMH(t, "h2")
+	devices := map[string]Option{
+		"grid:6x6": WithDevice("grid:6x6"), "GRID:6x6": WithDevice("GRID:6x6"), "linear:8": WithDevice("linear:8"),
+		"montreal": WithDevice("montreal"), "ring6 (custom)": WithDeviceSpec(ring),
+	}
+	for name, dev := range devices {
+		rec := &keyRecorder{}
+		if _, err := Compile(context.Background(), "hatt", mh, dev, WithStore(rec)); err != nil {
+			t.Fatal(err)
+		}
+		want := store.Key{Hamiltonian: mh.Fingerprint(), Spec: "hatt", Options: NewOptions(dev).Digest()}
+		if len(rec.gets) != 1 || rec.gets[0] != want || len(rec.puts) != 1 || rec.puts[0] != want {
+			t.Errorf("%s: got %v, put %v; want %v", name, rec.gets, rec.puts, want)
+		}
+	}
+}
+
 func TestDigestFoldsDevice(t *testing.T) {
 	plain := NewOptions()
 	routed := NewOptions(WithDevice("Montreal"))
@@ -377,7 +413,7 @@ func TestRoutedCircuitContradictingSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := storeKey("hatt", mh, NewOptions(opts...))
+	key := store.Key{Hamiltonian: mh.Fingerprint(), Spec: "hatt", Options: NewOptions(opts...).Digest()}
 	e, ok := st.Get(key)
 	if !ok || e.Routed == nil {
 		t.Fatalf("stored entry %+v has no routed summary", e)

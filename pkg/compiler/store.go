@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/fermion"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -57,18 +58,26 @@ func WithStore(s Store) Option { return func(o *Options) { o.Store = s } }
 // synthesis knobs shape nothing the store holds, so they stay out, and
 // unrouted digests keep the form earlier versions wrote to disk.
 func (o Options) Digest() string {
+	dev, _ := o.routingDevice()
+	return o.digest(dev)
+}
+
+// digest is Digest over the device routingDevice already resolved, so
+// a compile looks its device up once.
+func (o Options) digest(dev *arch.Device) string {
 	d := fmt.Sprintf("v1;bw=%d;vb=%d;ai=%d;ats=%g;ate=%g;tb=%d;seed=%d;ar=%d",
 		o.BeamWidth, o.VisitBudget, o.AnnealIters, o.AnnealTStart, o.AnnealTEnd,
 		o.TieBreak, o.Seed, o.AnnealRestarts)
-	if dev := o.deviceDigest(); dev != "" {
-		d += fmt.Sprintf(";dev=%s;ts=%d;tt=%g;to=%d", dev, o.TrotterSteps, o.TrotterTime, o.TermOrder)
+	if dd := o.deviceDigest(dev); dd != "" {
+		d += fmt.Sprintf(";dev=%s;ts=%d;tt=%g;to=%d", dd, o.TrotterSteps, o.TrotterTime, o.TermOrder)
 	}
 	return d
 }
 
-// storeKey assembles the content address of one compilation.
-func storeKey(spec string, mh *fermion.MajoranaHamiltonian, o Options) store.Key {
-	return store.Key{Hamiltonian: mh.Fingerprint(), Spec: spec, Options: o.Digest()}
+// storeKey assembles the content address of one compilation, given the
+// device routingDevice resolved from o.
+func storeKey(spec string, mh *fermion.MajoranaHamiltonian, o Options, dev *arch.Device) store.Key {
+	return store.Key{Hamiltonian: mh.Fingerprint(), Spec: spec, Options: o.digest(dev)}
 }
 
 // storeLookup consults the attached store. The caller's context rides
