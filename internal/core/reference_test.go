@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/analysis/annotations"
 	"repro/internal/fermion"
-	"repro/internal/models"
 	"repro/internal/tree"
 )
 
@@ -204,15 +203,6 @@ func beamReference(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Op
 	return best.result("HATT-beam"), nil
 }
 
-func resolveMajorana(t testing.TB, spec string) *fermion.MajoranaHamiltonian {
-	t.Helper()
-	h, err := models.Resolve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h.Majorana(1e-12)
-}
-
 // TestAnnealMatchesReference holds Anneal to the full-walk chain at the
 // default 2000·N schedule. hubbard:3x3 (75 terms), hubbard:4x4 (144),
 // neutrino:3x2 (204) and molecule:12 (1,698) have more than 64 terms,
@@ -225,7 +215,7 @@ func TestAnnealMatchesReference(t *testing.T) {
 		{"h2", 5}, {"hubbard:2x3", 4}, {"hubbard:3x3", 3}, {"hubbard:4x4", 2},
 		{"neutrino:3x2", 3}, {"molecule:12", 2},
 	} {
-		mh := resolveMajorana(t, tc.spec)
+		mh := boundTestModel(t, tc.spec)
 		for seed := int64(1); seed <= tc.seeds; seed++ {
 			opts := Options{Seed: seed}
 			want := run(t, annealReference, mh, opts)
@@ -271,7 +261,7 @@ func checkEval(t *testing.T, p *problem, ev *treeEval, cur *tree.Tree, all []*tr
 func TestTreeEvalTracksEvaluateTree(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range []string{"hubbard:2x2", "neutrino:3x2"} {
-		p := newProblem(resolveMajorana(t, spec))
+		p := newProblem(boundTestModel(t, spec))
 		seed, err := buildUnoptScan(ctx, p, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +336,7 @@ func TestBeamMatchesReference(t *testing.T) {
 		inputs = append(inputs, goldenInput{fmt.Sprintf("rand4-s%d", seed), randomFermionic(4, 12, seed)})
 	}
 	for _, spec := range []string{"h2", "hubbard:2x2", "hubbard:2x3", "neutrino:2x2"} {
-		inputs = append(inputs, goldenInput{spec, resolveMajorana(t, spec)})
+		inputs = append(inputs, goldenInput{spec, boundTestModel(t, spec)})
 	}
 	for _, in := range inputs {
 		for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 64} {
@@ -395,7 +385,7 @@ func TestAnnealAllocs(t *testing.T) {
 	if annotations.RaceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	mh := resolveMajorana(t, "hubbard:3x3")
+	mh := boundTestModel(t, "hubbard:3x3")
 	ctx := context.Background()
 	n := testing.AllocsPerRun(1, func() {
 		if _, err := Anneal(ctx, mh, Options{Seed: 7, Restarts: 1}); err != nil {
