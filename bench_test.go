@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/fermion"
 	"repro/internal/linalg"
 	"repro/internal/mapping"
 	"repro/internal/models"
@@ -276,15 +277,11 @@ func BenchmarkExhaustiveSearch2x2Budget(b *testing.B) {
 	}
 }
 
-// searchBenchModels are hattbench miss-search's models, the traffic the
-// anneal and beam searches serve.
-var searchBenchModels = []string{"hubbard:2x3", "hubbard:3x3", "neutrino:3x2"}
-
-// BenchmarkAnneal times one default-schedule anneal per model, a fresh
-// seed per run, as a seeded anneal request compiles it.
-func BenchmarkAnneal(b *testing.B) {
+// benchSearch times search on each of hattbench miss-search's models,
+// the traffic the anneal and beam searches serve, with opts(i) on run i.
+func benchSearch(b *testing.B, search func(context.Context, *fermion.MajoranaHamiltonian, core.Options) (*core.Result, error), opts func(i int) core.Options) {
 	ctx := context.Background()
-	for _, spec := range searchBenchModels {
+	for _, spec := range []string{"hubbard:2x3", "hubbard:3x3", "neutrino:3x2"} {
 		h, err := models.Resolve(spec)
 		if err != nil {
 			b.Fatal(err)
@@ -294,12 +291,18 @@ func BenchmarkAnneal(b *testing.B) {
 			b.ReportAllocs()
 			weight := weightOf(b)
 			for i := 0; i < b.N; i++ {
-				if weight(core.Anneal(ctx, mh, core.Options{Seed: int64(i + 1)})) <= 0 {
+				if weight(search(ctx, mh, opts(i))) <= 0 {
 					b.Fatal("bad weight")
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkAnneal times one default-schedule anneal, a fresh seed per
+// run, as a seeded anneal request compiles it.
+func BenchmarkAnneal(b *testing.B) {
+	benchSearch(b, core.Anneal, func(i int) core.Options { return core.Options{Seed: int64(i + 1)} })
 }
 
 func BenchmarkMappingApplyNeutrino(b *testing.B) {
@@ -326,25 +329,9 @@ func BenchmarkCircuitCompileH2O(b *testing.B) {
 }
 
 // BenchmarkBeam times beam search at width 4, the width a portfolio
-// races by default, per model.
+// races by default.
 func BenchmarkBeam(b *testing.B) {
-	ctx := context.Background()
-	for _, spec := range searchBenchModels {
-		h, err := models.Resolve(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mh := h.Majorana(1e-12)
-		b.Run(spec, func(b *testing.B) {
-			b.ReportAllocs()
-			weight := weightOf(b)
-			for i := 0; i < b.N; i++ {
-				if weight(core.Beam(ctx, mh, core.Options{Width: 4})) <= 0 {
-					b.Fatal("bad weight")
-				}
-			}
-		})
-	}
+	benchSearch(b, core.Beam, func(int) core.Options { return core.Options{Width: 4} })
 }
 
 func BenchmarkTieBreakSupport2x3(b *testing.B) {
