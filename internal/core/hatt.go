@@ -142,90 +142,91 @@ func BuildUnoptReference(mh *fermion.MajoranaHamiltonian) *Result {
 // |0⟩-equivalently elsewhere — vacuum-state preservation — while keeping
 // the greedy weight minimization. O(N³) overall.
 //
-// It reads TieBreak, Workers, Bound and BoundPos. The selected merges —
-// and hence the mapping — are identical at every worker count. The
-// context and the bound are checked once per construction step; against
-// the bound, the accumulated settled weight is the lower bound, and a
-// lost race returns ErrBounded.
+// A triple's settled weight depends only on three bitsets that never
+// change, so a score table that lives for one construction scores each
+// triple once: a step after the first scores the new parent's row and
+// column and the one row whose O_Y the last merge moved, O(|U|) triples
+// instead of O(|U|²). Candidates are scanned in enumeration order
+// (ascending O_X, then O_Z), so ties resolve to the first candidate.
 //
-// Completed constructions are memoized (see memo.go): repeated calls on
-// an identical Hamiltonian and tie-break replay the cached merge schedule
-// instead of re-running the greedy search, returning a fresh tree and
-// mapping each time. Callers that time the search call ResetBuildCache
-// first.
+// It reads TieBreak, Bound and BoundPos. The context and the bound are
+// checked once per construction step; against the bound, the accumulated
+// settled weight is the lower bound, and a lost race returns ErrBounded.
 func Build(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-	canon := canonicalKey(mh)
-	key := buildMemoKey{fp: fingerprint(canon), tb: opts.TieBreak}
-	e, hit, release, err := memoAcquire(ctx, key, canon)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		return e.replay(mh), nil
-	}
-	defer release()
-	buildSearches.Add(1)
 	b := newBuilder(newProblem(mh))
 	n := b.p.n
-	depth := make([]int, 3*n+1) // leaves depth 0
-	var cands []triple
-	var scores []int
+	ids := 3*n + 1
+	depth := make([]int, ids) // leaves depth 0
+	// score[ox*ids+oz] is the settled weight of (ox, rowY[ox], oz), or −1
+	// if that triple is not scored yet. A row is cleared when the O_Y
+	// derived for it differs from the one its scores were taken with.
+	score := make([]int32, ids*ids)
+	for j := range score {
+		score[j] = -1
+	}
+	rowY := make([]int, ids)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// b.predicted only grows, so once it proves the race lost the whole
-		// search is abandoned (never stored in the memo: the release above
-		// wakes any waiter to take over the construction).
+		// search is abandoned.
 		if opts.Bound.Unbeatable(b.predicted, opts.BoundPos) {
 			return nil, ErrBounded
 		}
-		cands = b.candidates(cands[:0])
-		if len(cands) == 0 {
-			panic("core: no valid vacuum-preserving selection (invariant violated)")
-		}
-		// Score in parallel (settledWeight dominates the step and only
-		// reads builder state)...
-		if cap(scores) < len(cands) {
-			scores = make([]int, len(cands))
-		}
-		scores = scores[:len(cands)]
-		if err := scoreChunks(ctx, len(cands), opts.Workers, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				c := cands[j]
-				scores[j] = settledWeight(b.bits[c.x], b.bits[c.y], b.bits[c.z])
-			}
-		}); err != nil {
-			return nil, err
-		}
-		// ...and reduce in enumeration order, so ties resolve exactly as
-		// the sequential scan would at any worker count.
 		bestW := int(^uint(0) >> 1)
 		bestTie := int(^uint(0) >> 1)
-		bestIdx := -1
-		for j, c := range cands {
-			w := scores[j]
-			if w > bestW {
+		bx, by, bz := -1, -1, -1
+		for _, ox := range b.u {
+			oy, ok := b.pairY(ox)
+			if !ok {
 				continue
 			}
-			tie := 0
-			switch opts.TieBreak {
-			case TieDepth:
-				tie = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
-			case TieSupport:
-				tie = parentSupport(b.bits[c.x], b.bits[c.y], b.bits[c.z])
+			row := score[ox*ids : (ox+1)*ids]
+			if rowY[ox] != oy {
+				for j := range row {
+					row[j] = -1
+				}
+				rowY[ox] = oy
 			}
-			if w < bestW || tie < bestTie {
-				bestW, bestTie, bestIdx = w, tie, j
+			for _, oz := range b.u {
+				if oz == ox || oz == oy {
+					continue
+				}
+				w := int(row[oz])
+				if w < 0 {
+					w = settledWeight(b.bits[ox], b.bits[oy], b.bits[oz])
+					row[oz] = int32(w)
+				}
+				if w > bestW {
+					continue
+				}
+				tie := 0
+				switch opts.TieBreak {
+				case TieDepth:
+					tie = 1 + max3(depth[ox], depth[oy], depth[oz])
+				case TieSupport:
+					tie = parentSupport(b.bits[ox], b.bits[oy], b.bits[oz])
+				}
+				if w < bestW || tie < bestTie {
+					bestW, bestTie = w, tie
+					bx, by, bz = ox, oy, oz
+				}
 			}
 		}
-		c := cands[bestIdx]
-		depth[2*n+1+i] = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
-		b.merge(i, c.x, c.y, c.z)
+		if bx < 0 {
+			panic("core: no valid vacuum-preserving selection (invariant violated)")
+		}
+		depth[2*n+1+i] = 1 + max3(depth[bx], depth[by], depth[bz])
+		b.merge(i, bx, by, bz)
 	}
-	memoStore(key, canon, b.log)
 	return b.result("HATT"), nil
 }
+
+// ResetBuildCache does nothing: Build keeps no state between calls.
+//
+// Deprecated: Build has no cache; drop the call.
+func ResetBuildCache() {}
 
 // BuildUncached runs Algorithm 2 *without* the Algorithm 3 caches: the
 // Z-descendant and ancestor lookups walk the tree explicitly, giving the

@@ -5,9 +5,9 @@ package core
 // values select the documented defaults.
 type Options struct {
 	// Workers bounds the goroutines a search fans out over: candidate
-	// scoring in Build and Beam, concurrent restart chains in Anneal.
-	// Values below 2 run sequentially. The result is identical at every
-	// worker count.
+	// scoring in Beam, concurrent restart chains in Anneal. Build scores
+	// sequentially and ignores it. Values below 2 run sequentially. The
+	// result is identical at every worker count.
 	Workers int
 	// Bound, when non-nil, is a shared portfolio incumbent. A search
 	// consulting it stops as soon as a lower bound on its final weight

@@ -26,10 +26,10 @@ func newTermBits(words int) termBits { return make(termBits, words) }
 
 func (b termBits) set(t int) { b[t/64] |= 1 << uint(t%64) }
 
-// scoreFanoutCutoff is the candidate count below which the search
-// methods keep scoring sequential: dispatching a pool over a few dozen
-// settledWeight calls costs more than the calls themselves. Above it,
-// the per-chunk work dwarfs the dispatch.
+// scoreFanoutCutoff is the candidate count below which Beam keeps
+// scoring sequential: dispatching a pool over a few dozen settledWeight
+// calls costs more than the calls themselves. Above it, the per-chunk
+// work dwarfs the dispatch.
 const scoreFanoutCutoff = 256
 
 // scoreChunks runs score over contiguous chunks of [0, n) candidates on
@@ -210,14 +210,9 @@ type triple struct{ x, y, z int }
 // even Z-descendants (≠ 2N) are enumerated as O_X, visiting the same
 // candidate set once.
 func (b *builder) candidates(dst []triple) []triple {
-	n := b.p.n
 	for _, ox := range b.u {
-		x := b.mdown[ox]
-		if x%2 == 1 || x == 2*n {
-			continue
-		}
-		oy := b.mup[x+1]
-		if oy == ox {
+		oy, ok := b.pairY(ox)
+		if !ok {
 			continue
 		}
 		for _, oz := range b.u {
@@ -228,6 +223,18 @@ func (b *builder) candidates(dst []triple) []triple {
 		}
 	}
 	return dst
+}
+
+// pairY returns the O_Y that Algorithm 2 pairs with ox: the ancestor in
+// U of the leaf after ox's Z-descendant. ok is false when ox cannot be
+// an O_X: its Z-descendant is odd or leaf 2N, or that ancestor is ox.
+func (b *builder) pairY(ox int) (oy int, ok bool) {
+	x := b.mdown[ox]
+	if x%2 == 1 || x == 2*b.p.n {
+		return 0, false
+	}
+	oy = b.mup[x+1]
+	return oy, oy != ox
 }
 
 // merge performs the step-i update (Algorithm 1 lines 13–16 plus the

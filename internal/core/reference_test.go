@@ -15,11 +15,64 @@ import (
 	"repro/internal/tree"
 )
 
-// The references below are the searches as they were before anneal
-// scored a swap along its two changed paths and beam picked its
-// survivors with a bounded selection: anneal re-walks the whole tree
-// with evaluateTree after every swap, and beam stable-sorts every
-// candidate. The tests hold the fast versions to their exact output.
+// The references below are the searches as they were before Build kept
+// a score table, anneal scored a swap along its two changed paths and
+// beam picked its survivors with a bounded selection: Build re-scores
+// every candidate at every step, anneal re-walks the whole tree with
+// evaluateTree after every swap, and beam stable-sorts every candidate.
+// The tests hold the fast versions to their exact output.
+
+// buildReference is Build scoring every candidate builder.candidates
+// enumerates at every step, then reducing in enumeration order.
+func buildReference(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+	b := newBuilder(newProblem(mh))
+	n := b.p.n
+	depth := make([]int, 3*n+1) // leaves depth 0
+	var cands []triple
+	var scores []int
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if opts.Bound.Unbeatable(b.predicted, opts.BoundPos) {
+			return nil, ErrBounded
+		}
+		cands = b.candidates(cands[:0])
+		if len(cands) == 0 {
+			panic("core: no valid vacuum-preserving selection (invariant violated)")
+		}
+		if cap(scores) < len(cands) {
+			scores = make([]int, len(cands))
+		}
+		scores = scores[:len(cands)]
+		for j, c := range cands {
+			scores[j] = settledWeight(b.bits[c.x], b.bits[c.y], b.bits[c.z])
+		}
+		bestW := int(^uint(0) >> 1)
+		bestTie := int(^uint(0) >> 1)
+		bestIdx := -1
+		for j, c := range cands {
+			w := scores[j]
+			if w > bestW {
+				continue
+			}
+			tie := 0
+			switch opts.TieBreak {
+			case TieDepth:
+				tie = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
+			case TieSupport:
+				tie = parentSupport(b.bits[c.x], b.bits[c.y], b.bits[c.z])
+			}
+			if w < bestW || tie < bestTie {
+				bestW, bestTie, bestIdx = w, tie, j
+			}
+		}
+		c := cands[bestIdx]
+		depth[2*n+1+i] = 1 + max3(depth[c.x], depth[c.y], depth[c.z])
+		b.merge(i, c.x, c.y, c.z)
+	}
+	return b.result("HATT"), nil
+}
 
 // annealReference is Anneal at one restart over annealChainReference.
 func annealReference(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
@@ -201,6 +254,25 @@ func beamReference(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Op
 		}
 	}
 	return best.result("HATT-beam"), nil
+}
+
+// TestBuildMatchesReference holds Build's score table to the full
+// re-scoring, under every tie-break, on models the golden table does not
+// hold: 60 to 72 modes (hubbard:6x6, 5x7 and the 1x30 chain), molecules
+// with thousands of terms, and a larger neutrino model.
+func TestBuildMatchesReference(t *testing.T) {
+	for _, spec := range []string{"hubbard:6x6", "hubbard:5x7", "hubbard:1x30", "molecule:14", "molecule:20", "neutrino:4x3"} {
+		mh := boundTestModel(t, spec)
+		for _, tb := range []TieBreak{TieFirst, TieDepth, TieSupport} {
+			opts := Options{TieBreak: tb}
+			want := run(t, buildReference, mh, opts)
+			got := run(t, Build, mh, opts)
+			if g, w := goldenDigest(t, got, ""), goldenDigest(t, want, ""); got.PredictedWeight != want.PredictedWeight || g != w {
+				t.Errorf("%s tie-break %d: weight %d digest %s, reference %d %s",
+					spec, tb, got.PredictedWeight, g, want.PredictedWeight, w)
+			}
+		}
+	}
 }
 
 // TestAnnealMatchesReference holds Anneal to the full-walk chain at the
@@ -394,5 +466,24 @@ func TestAnnealAllocs(t *testing.T) {
 	})
 	if n > 5000 {
 		t.Fatalf("Anneal on hubbard:3x3 allocates %.0f/op, want ≤ 5000", n)
+	}
+}
+
+// TestBuildAllocs gates one hubbard:3x3 Build: the score table is one
+// allocation, so what allocates is the problem, one parent bitset per
+// merge and the finished tree and mapping.
+func TestBuildAllocs(t *testing.T) {
+	if annotations.RaceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	mh := boundTestModel(t, "hubbard:3x3")
+	ctx := context.Background()
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := Build(ctx, mh, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 300 {
+		t.Fatalf("Build on hubbard:3x3 allocates %.0f/op, want ≤ 300", n)
 	}
 }

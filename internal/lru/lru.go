@@ -1,9 +1,7 @@
-// Package lru is the one LRU implementation shared by every bounded
-// cache in this repository (the core build memo, the mapping store's
-// memory tier). It is deliberately minimal: a recency list plus an
-// index, no locking — each caller already serializes access under its
-// own mutex and layers its own semantics (single-flight, counters,
-// disk tiers) on top.
+// Package lru is the LRU behind the mapping store's memory tier. It is
+// deliberately minimal: a recency list plus an index, no locking — the
+// caller serializes access under its own mutex and layers its own
+// semantics (counters, the disk tier) on top.
 package lru
 
 import "container/list"

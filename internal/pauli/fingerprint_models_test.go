@@ -51,8 +51,8 @@ func TestFingerprintCollisionFreeAcrossModels(t *testing.T) {
 				}
 				byFP[fp] = key
 			}
-			// Majorana strings too: the build memo and dedup paths
-			// fingerprint these directly.
+			// Majorana strings too: they are Pauli strings and must
+			// fingerprint the same way.
 			for j, s := range m.Majoranas {
 				for k := j + 1; k < len(m.Majoranas); k++ {
 					same := s.EqualUpToPhase(m.Majoranas[k])

@@ -132,7 +132,7 @@ func TestDeduplicationOfInflightJobs(t *testing.T) {
 	}
 
 	// Once finished, the content address is free again: a new submission
-	// is a fresh job (it will hit the store/memo, but it is not attached).
+	// is a fresh job (it will hit the store, but it is not attached).
 	again, deduped, err := m.Submit(Request{Model: "h2", Spec: b.name})
 	if err != nil || deduped || again.ID == first.ID {
 		t.Fatalf("finished job still captured dedup: %+v err=%v deduped=%v", again, err, deduped)

@@ -37,10 +37,6 @@ type BatchResult struct {
 // lands in that item's Err and the rest of the batch completes (after
 // ctx is cancelled, remaining items fail fast with ctx.Err()).
 //
-// Identical items deduplicate work naturally: the hatt construction is
-// memoized in internal/core, so a batch of requests naming the same
-// model pays for one search.
-//
 // A WithProgress callback is invoked from whichever worker is compiling;
 // with a batch in flight that means concurrently — wrap the callback in
 // a lock if it touches shared state.

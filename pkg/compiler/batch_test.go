@@ -7,12 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 )
 
 func TestCompileBatchOrderAndResults(t *testing.T) {
-	core.ResetBuildCache()
 	items := []BatchItem{
 		{Model: "h2"},
 		{Model: "h2", Spec: "jw"},
@@ -42,7 +40,6 @@ func TestCompileBatchOrderAndResults(t *testing.T) {
 }
 
 func TestCompileBatchMatchesSequentialCompile(t *testing.T) {
-	core.ResetBuildCache()
 	mh := models.H2STO3G().Majorana(1e-12)
 	want, err := Compile(context.Background(), "hatt", mh, WithParallelism(1))
 	if err != nil {
@@ -152,12 +149,10 @@ func TestPipelineBatch(t *testing.T) {
 func TestCompileParallelismDeterministic(t *testing.T) {
 	// Facade-level reproducibility guarantee: same seed ⇒ byte-identical
 	// mapping at any WithParallelism value, for every search method.
-	core.ResetBuildCache()
 	mh := models.FermiHubbard(2, 2, 1, 4).Majorana(1e-12)
 	for _, spec := range []string{"hatt", "beam:4", "anneal"} {
 		var want []byte
 		for _, par := range []int{1, 2, 8} {
-			core.ResetBuildCache()
 			res, err := Compile(context.Background(), spec, mh,
 				WithParallelism(par), WithSeed(3), WithAnnealRestarts(4),
 				WithAnnealSchedule(300, 0, 0))

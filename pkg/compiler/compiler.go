@@ -56,8 +56,8 @@ type Options struct {
 	TieBreak     TieBreak          // equal-weight candidate policy (hatt)
 	Seed         int64             // RNG seed, 0 = 1 (anneal)
 	// Parallelism bounds the worker pool each method fans its search out
-	// over (hatt candidate scoring, beam candidate scoring, anneal
-	// restart chains) and the batch width of CompileBatch/PipelineBatch.
+	// over (beam candidate scoring, anneal restart chains) and the batch
+	// width of CompileBatch/PipelineBatch.
 	// It never changes a method's result: a fixed Seed produces a
 	// byte-identical mapping at every Parallelism value.
 	Parallelism int
