@@ -350,31 +350,12 @@ func BenchmarkCompileAnnealHubbardParallel4(b *testing.B) { benchCompileParallel
 
 func BenchmarkCompileHATTHubbardParallel1(b *testing.B) { benchCompileParallel(b, "hatt", 1) }
 
-func BenchmarkCompileBatch8xH2(b *testing.B) {
-	// Eight tenants requesting the same model: the batch fans out across
-	// items, and each item runs its own search.
-	items := make([]compiler.BatchItem, 8)
-	for i := range items {
-		items[i] = compiler.BatchItem{Model: "h2", Spec: "hatt"}
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, br := range compiler.CompileBatch(ctx, items, compiler.WithParallelism(4)) {
-			if br.Err != nil {
-				b.Fatal(br.Err)
-			}
-		}
-	}
-}
-
 func BenchmarkPerfSuiteJSON(b *testing.B) {
-	// Regenerates the machine-readable sequential-vs-parallel sweep and
-	// writes it to BENCH_perf.json; CI runs this at -benchtime=1x and
-	// uploads every BENCH_*.json as the per-PR perf artifact.
-	opt := benchOptions()
+	// Regenerates the machine-readable kernel report and writes it to
+	// BENCH_perf.json; CI runs this at -benchtime=1x and uploads every
+	// BENCH_*.json as the per-PR perf artifact.
 	for i := 0; i < b.N; i++ {
-		rep := bench.PerfSuite(opt, 4)
+		rep := bench.PerfSuite()
 		var buf bytes.Buffer
 		if err := bench.WritePerfJSON(&buf, rep); err != nil {
 			b.Fatal(err)

@@ -13,8 +13,8 @@
 //	benchtab -figure 12        # scalability curves
 //	benchtab -all              # everything
 //	benchtab -list             # the pkg/compiler methods the tables use
-//	benchtab -perf -json BENCH_perf.json -workers 4
-//	                           # sequential-vs-parallel sweep, JSON artifact
+//	benchtab -perf -json BENCH_perf.json
+//	                           # hot-path kernel suite, JSON artifact
 //
 // Scale knobs: -max-modes, -shots, -grid, -fh-modes, -fh-budget, -max-n.
 //
@@ -50,9 +50,8 @@ func main() {
 	routed := flag.Bool("routed", false, "Table-IV-style routed comparison through pkg/compiler WithDevice")
 	routedDevices := flag.String("devices", strings.Join(bench.DefaultRoutedDevices, ","), "with -routed: comma-separated device specs")
 	routedMethods := flag.String("methods", strings.Join(bench.DefaultRoutedMethods, ","), "with -routed: comma-separated mapping methods")
-	perf := flag.Bool("perf", false, "run the sequential-vs-parallel compilation sweep")
-	jsonPath := flag.String("json", "", "with -perf: also write the sweep as JSON to this path (BENCH_*.json)")
-	workers := flag.Int("workers", 0, "with -perf: parallel worker count (0 = GOMAXPROCS)")
+	perf := flag.Bool("perf", false, "run the hot-path kernel suite")
+	jsonPath := flag.String("json", "", "with -perf: also write the kernel report as JSON to this path (BENCH_*.json)")
 	summary := flag.Bool("summary", false, "print the headline HATT-vs-baseline reductions across Tables I-III")
 	exact := flag.Bool("exact", false, "figure 10: use the density-matrix simulator (exact bias, no shots)")
 	list := flag.Bool("list", false, "list the compiler methods the tables draw from and exit")
@@ -160,8 +159,8 @@ func main() {
 		}
 		bench.PrintRouted(w, rows)
 	case *perf:
-		rep := bench.PerfSuite(opt, *workers)
-		bench.PrintPerf(w, rep)
+		rep := bench.PerfSuite()
+		bench.PrintKernels(w, rep.Kernels)
 		if *jsonPath != "" {
 			f, err := os.Create(*jsonPath)
 			if err != nil {

@@ -118,8 +118,8 @@ func TestMergeKernelRunsKeepsBestRatio(t *testing.T) {
 
 func TestReadPerfJSONRoundTrip(t *testing.T) {
 	rep := PerfReport{
-		GOMAXPROCS: 4, Workers: 2,
-		Kernels: kernelPairRecords("apply", 1000, 40, 0),
+		GOMAXPROCS: 4,
+		Kernels:    kernelPairRecords("apply", 1000, 40, 0),
 	}
 	var buf bytes.Buffer
 	if err := WritePerfJSON(&buf, rep); err != nil {

@@ -135,9 +135,6 @@ type MajoranaHamiltonian struct {
 	Terms []MajoranaTerm
 }
 
-// NumMajoranas returns 2·Modes.
-func (m *MajoranaHamiltonian) NumMajoranas() int { return 2 * m.Modes }
-
 // Majorana expands the Hamiltonian into normal-ordered Majorana monomials,
 // merging equal monomials and dropping those whose coefficients cancel
 // below eps. This is the "preprocess" step of Algorithm 1.

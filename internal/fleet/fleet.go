@@ -240,11 +240,6 @@ func NewStore(local *store.Store, cfg Config) (*Store, error) {
 	}, nil
 }
 
-// Local returns the wrapped single-node store (what the peer endpoint
-// itself serves from — a node answers fleet traffic from its own tiers,
-// never by re-fanning out).
-func (f *Store) Local() *store.Store { return f.local }
-
 // Get consults the local tiers, then the fleet. It satisfies the
 // context-free compiler.Store surface; callers that hold a request
 // context should use GetContext so a disconnecting client aborts the

@@ -44,11 +44,6 @@ func (f *FenwickTree) UpdateSet(j int) []int {
 	return out
 }
 
-// Children returns the direct children of j (the F(j) flip set).
-func (f *FenwickTree) Children(j int) []int {
-	return f.child[j]
-}
-
 // RemainderSet returns C(j): children of ancestors of j with index < j.
 // Together with F(j) it forms the parity set P(j) = F(j) ∪ C(j), the qubits
 // storing the parity of modes 0 … j−1.

@@ -49,8 +49,8 @@ func (l Letter) String() string {
 }
 
 // String is an N-qubit Pauli string with a global i^Phase prefactor.
-// The zero value is not usable; construct strings with Identity, New,
-// FromLetters, or Parse.
+// The zero value is not usable; construct strings with Identity, New, or
+// Parse.
 type String struct {
 	n     int
 	x, z  []uint64
@@ -375,18 +375,6 @@ func MustParse(text string) String {
 	s, err := Parse(text)
 	if err != nil {
 		panic(err)
-	}
-	return s
-}
-
-// FromLetters builds a string from a slice indexed by qubit
-// (letters[0] acts on qubit 0).
-func FromLetters(letters []Letter) String {
-	s := Identity(len(letters))
-	for q, l := range letters {
-		if l != I {
-			s.SetLetter(q, l)
-		}
 	}
 	return s
 }

@@ -847,14 +847,9 @@ func (a *API) handlePortfolioStats(w http.ResponseWriter, r *http.Request) {
 			snap.Shapes = []store.LedgerShapeStats{}
 		}
 	}
-	outcomes := compiler.PortfolioOutcomes()
-	oc := make([]map[string]any, 0, len(outcomes))
-	for _, o := range outcomes {
-		oc = append(oc, map[string]any{"method": o.Method, "outcome": o.Outcome, "count": o.Count})
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"races":    compiler.PortfolioRaceCount(),
-		"outcomes": oc,
+		"outcomes": compiler.PortfolioOutcomes(),
 		"ledger":   snap,
 	})
 }

@@ -336,6 +336,37 @@ func TestPortfolioStatsWithoutLedger(t *testing.T) {
 	}
 }
 
+// TestPortfolioOutcomeKeys pins the documented method/outcome/count keys
+// on both surfaces that serve the race counters.
+func TestPortfolioOutcomeKeys(t *testing.T) {
+	srv, _, _ := testServer(t, "")
+	resp, body := postJSON(t, srv.URL+"/v1/compile", `{"model":"h2","method":"portfolio:hatt+jw"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %v", resp.StatusCode, body)
+	}
+	_, stats := getJSON(t, srv.URL+"/v1/stats")
+	portfolio, _ := stats["portfolio"].(map[string]any)
+	_, pstats := getJSON(t, srv.URL+"/v1/portfolio/stats")
+	for surface, outcomes := range map[string]any{
+		"/v1/stats portfolio": portfolio["outcomes"],
+		"/v1/portfolio/stats": pstats["outcomes"],
+	} {
+		rows, _ := outcomes.([]any)
+		if len(rows) == 0 {
+			t.Fatalf("%s: no outcomes in %v", surface, outcomes)
+		}
+		for _, row := range rows {
+			r, _ := row.(map[string]any)
+			_, m := r["method"].(string)
+			_, o := r["outcome"].(string)
+			_, c := r["count"].(float64)
+			if len(r) != 3 || !m || !o || !c {
+				t.Fatalf("%s: outcome row %v, want keys method, outcome, count", surface, row)
+			}
+		}
+	}
+}
+
 // strictDecode proves a payload decodes into a struct with
 // DisallowUnknownFields — i.e. the wire carries no fields beyond the
 // declared shape.

@@ -56,10 +56,9 @@ type Options struct {
 	TieBreak     TieBreak          // equal-weight candidate policy (hatt)
 	Seed         int64             // RNG seed, 0 = 1 (anneal)
 	// Parallelism bounds the worker pool each method fans its search out
-	// over (beam candidate scoring, anneal restart chains) and the batch
-	// width of CompileBatch/PipelineBatch.
-	// It never changes a method's result: a fixed Seed produces a
-	// byte-identical mapping at every Parallelism value.
+	// over (beam candidate scoring, anneal restart chains, portfolio
+	// racers). It never changes a method's result: a fixed Seed produces
+	// a byte-identical mapping at every Parallelism value.
 	Parallelism int
 	// AnnealRestarts runs that many independent annealing chains (seeded
 	// Seed, Seed+1, …) and keeps the lowest-weight result, earliest chain
@@ -143,10 +142,10 @@ func WithTieBreak(tb TieBreak) Option { return func(o *Options) { o.TieBreak = t
 // WithSeed seeds the stochastic methods (methods: anneal).
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithParallelism bounds the worker pool the search methods and the
-// batch APIs fan out over; n < 1 restores the default
-// (runtime.GOMAXPROCS). Parallelism trades wall time only — for a fixed
-// seed the compiled mapping is byte-identical at every value.
+// WithParallelism bounds the worker pool the search methods fan out
+// over; n < 1 restores the default (runtime.GOMAXPROCS). Parallelism
+// trades wall time only — for a fixed seed the compiled mapping is
+// byte-identical at every value.
 func WithParallelism(n int) Option {
 	return func(o *Options) {
 		if n < 1 {
@@ -268,7 +267,9 @@ func ParseTermOrder(s string) (circuit.TermOrder, error) { return circuit.ParseO
 //	res, err := compiler.Compile(ctx, "beam:8", mh)
 //
 // Cancelling ctx makes the long-running methods (beam, fh, anneal) return
-// promptly with ctx.Err().
+// promptly with ctx.Err(). Compile is safe for concurrent use: to compile
+// many problems at once, call it from your own goroutines, each with
+// WithParallelism(1).
 func Compile(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, opts ...Option) (*Result, error) {
 	return compileWith(ctx, spec, mh, NewOptions(opts...))
 }

@@ -454,19 +454,3 @@ func TestPipelineReportsRouted(t *testing.T) {
 		t.Errorf("routed CNOTs %d implausible vs logical %d", rep.Routed.CNOTs, rep.CNOTs)
 	}
 }
-
-func TestCompileBatchRoutes(t *testing.T) {
-	items := []BatchItem{
-		{Model: "h2", Spec: "jw"},
-		{Model: "h2", Spec: "hatt"},
-		{Model: "hubbard:2x2", Spec: "hatt"},
-	}
-	for _, br := range CompileBatch(context.Background(), items, WithDevice("montreal")) {
-		if br.Err != nil {
-			t.Fatalf("item %d: %v", br.Index, br.Err)
-		}
-		if br.Result.Routed == nil || br.Result.Routed.Device != "Montreal" {
-			t.Errorf("item %d missing routed metrics", br.Index)
-		}
-	}
-}

@@ -73,8 +73,9 @@ type Report struct {
 }
 
 // Run executes the pipeline. The context bounds every long-running stage:
-// the mapping search and the tapering sector sweep.
-func (p Pipeline) Run(ctx context.Context) (*Report, error) {
+// the mapping search and the tapering sector sweep. A panic in any stage
+// returns as an error naming the model and the method.
+func (p Pipeline) Run(ctx context.Context) (rep *Report, err error) {
 	start := time.Now()
 	h, name := p.Hamiltonian, p.Model
 	switch {
@@ -83,10 +84,18 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 	case name == "":
 		name = "custom"
 	}
+	spec := p.Method
+	if spec == "" {
+		spec = "hatt"
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			rep, err = nil, fmt.Errorf("compiler: pipeline model %s, method %s panicked: %v", name, spec, r)
+		}
+	}()
 	_, modelSpan := obs.StartSpan(ctx, "model.build")
 	modelSpan.SetAttr("model", name)
 	if h == nil {
-		var err error
 		if h, err = models.Resolve(p.Model); err != nil {
 			modelSpan.End()
 			return nil, err
@@ -95,10 +104,6 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 	mh := h.Majorana(1e-12)
 	modelSpan.End()
 
-	spec := p.Method
-	if spec == "" {
-		spec = "hatt"
-	}
 	o := NewOptions(p.Options...)
 	res, err := compileWith(ctx, spec, mh, o)
 	if err != nil {
@@ -125,7 +130,7 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 		cc = circuit.Optimize(circuit.SynthesizeTrotter(hq, o.TrotterTime, o.TrotterSteps, o.TermOrder))
 		synthSpan.End()
 	}
-	rep := &Report{
+	rep = &Report{
 		Model:           name,
 		Modes:           h.Modes,
 		FermionTerms:    h.NumTerms(),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fermion"
+	"repro/internal/mapping"
 	"repro/internal/obs"
 )
 
@@ -74,6 +75,32 @@ func TestPipelineErrors(t *testing.T) {
 	_, err := (Pipeline{Model: "hubbard:3x3", Method: "hatt", Taper: true}).Run(ctx)
 	if err == nil || !strings.Contains(err.Error(), "tapering limited") {
 		t.Errorf("oversized tapering: got %v, want qubit-guard error", err)
+	}
+}
+
+func TestPipelineRunRecoversStagePanic(t *testing.T) {
+	// A mapping one mode too wide passes VerifyIndependent, then panics
+	// when synthesis applies it to the Hamiltonian — past the method
+	// boundary's recover.
+	wide := method{name: "jw-wide-test", run: func(_ context.Context, mh *fermion.MajoranaHamiltonian, _ Options) (*Result, error) {
+		return &Result{Method: "jw-wide-test", Mapping: mapping.JordanWigner(mh.Modes + 1)}, nil
+	}}
+	t.Cleanup(func() {
+		registry.Lock()
+		delete(registry.m, wide.name)
+		registry.Unlock()
+	})
+	if err := Register(wide); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Pipeline{Model: "h2", Method: wide.name}.Run(context.Background())
+	if err == nil || rep != nil {
+		t.Fatalf("got report %v, err %v; want a recovered panic", rep, err)
+	}
+	for _, want := range []string{"h2", wide.name, "mapping on 5"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

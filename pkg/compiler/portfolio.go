@@ -302,9 +302,9 @@ func PortfolioRaceCount() int64 { return portfolioRaces.Load() }
 // PortfolioOutcome is one (method, outcome) counter reading; Outcome is
 // "win", "loss", "bounded", or "error".
 type PortfolioOutcome struct {
-	Method  string
-	Outcome string
-	Count   int64
+	Method  string `json:"method"`
+	Outcome string `json:"outcome"`
+	Count   int64  `json:"count"`
 }
 
 // PortfolioOutcomes snapshots the per-(method, outcome) race counters,

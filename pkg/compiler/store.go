@@ -10,13 +10,13 @@ import (
 	"repro/internal/store"
 )
 
-// Store is the content-addressed result cache Compile and CompileBatch
-// consult when one is attached with WithStore. *store.Store is the
-// production implementation (bounded LRU plus optional disk tier); the
-// interface is narrow so tests can fake it.
+// Store is the content-addressed result cache Compile consults when one
+// is attached with WithStore. *store.Store is the production
+// implementation (bounded LRU plus optional disk tier); the interface is
+// narrow so tests can fake it.
 //
-// Implementations must be safe for concurrent use: a batch compiles many
-// items at once and every one of them consults the store.
+// Implementations must be safe for concurrent use: concurrent Compile
+// calls sharing one store all consult it at once.
 type Store interface {
 	Get(key store.Key) (*store.Entry, bool)
 	Put(key store.Key, entry *store.Entry)

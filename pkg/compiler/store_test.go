@@ -129,30 +129,3 @@ func TestCompileConsultsStore(t *testing.T) {
 		t.Fatal("anneal seed=2 incorrectly shared seed=1's entry")
 	}
 }
-
-func TestCompileBatchConsultsStore(t *testing.T) {
-	s, err := store.Open(16, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{
-		{Model: "hubbard:2x2", Spec: "jw"},
-		{Model: "hubbard:2x2", Spec: "bk"},
-	}
-	for _, br := range CompileBatch(context.Background(), items, WithStore(s)) {
-		if br.Err != nil {
-			t.Fatalf("item %d: %v", br.Index, br.Err)
-		}
-		if br.Result.Cached {
-			t.Fatalf("item %d cached on a cold store", br.Index)
-		}
-	}
-	for _, br := range CompileBatch(context.Background(), items, WithStore(s)) {
-		if br.Err != nil {
-			t.Fatalf("item %d: %v", br.Index, br.Err)
-		}
-		if !br.Result.Cached {
-			t.Fatalf("item %d not served from the store on the second batch", br.Index)
-		}
-	}
-}
