@@ -6,10 +6,8 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"io"
-	"os"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mapping"
 	"repro/internal/models"
-	"repro/internal/pauli"
 	"repro/internal/sim"
 	"repro/internal/taper"
 	"repro/pkg/compiler"
@@ -350,22 +347,6 @@ func BenchmarkCompileAnnealHubbardParallel4(b *testing.B) { benchCompileParallel
 
 func BenchmarkCompileHATTHubbardParallel1(b *testing.B) { benchCompileParallel(b, "hatt", 1) }
 
-func BenchmarkPerfSuiteJSON(b *testing.B) {
-	// Regenerates the machine-readable kernel report and writes it to
-	// BENCH_perf.json; CI runs this at -benchtime=1x and uploads every
-	// BENCH_*.json as the per-PR perf artifact.
-	for i := 0; i < b.N; i++ {
-		rep := bench.PerfSuite()
-		var buf bytes.Buffer
-		if err := bench.WritePerfJSON(&buf, rep); err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_perf.json", buf.Bytes(), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDensityNoisyH2(b *testing.B) {
 	mh := models.H2STO3G().Majorana(1e-12)
 	m := mapping.JordanWigner(4)
@@ -384,17 +365,6 @@ func BenchmarkTaperH2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := taper.GroundSector(context.Background(), hq, linalg.GroundEnergy); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQWCGroupingNeutrino(b *testing.B) {
-	mh := models.NeutrinoOscillation(3, 2, 1).Majorana(1e-12)
-	hq := mapping.JordanWigner(12).Apply(mh)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(pauli.GroupQWC(hq)) == 0 {
-			b.Fatal("no groups")
 		}
 	}
 }

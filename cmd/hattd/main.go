@@ -12,13 +12,12 @@
 //	POST   /v1/jobs             submit an async job (429 when the queue is full)
 //	GET    /v1/jobs/{id}        poll job status / result
 //	DELETE /v1/jobs/{id}        cancel a job (?result=partial keeps the best-so-far)
-//	GET    /v1/portfolio/stats  portfolio race counters and the win/loss ledger
 //	GET    /v1/methods          registered mapping methods
 //	GET    /v1/devices          device catalog
 //	GET    /v1/store/{address}  fleet peer cache-fill (stored entry by content address)
 //	GET    /v1/healthz          liveness + version
 //	GET    /v1/readyz           readiness (503 + reasons while degraded)
-//	GET    /v1/stats            cache/fleet counters and queue depth
+//	GET    /v1/stats            cache/fleet/portfolio counters (with the win/loss ledger), queue depth
 //	GET    /v1/traces/{id}      recent request trace (spans + timings)
 //	GET    /metrics             Prometheus text exposition of the same counters
 //

@@ -23,7 +23,7 @@ func TestNoAllocFuncsMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []string{"Hamiltonian.Add", "Hamiltonian.Coeff", "String.MulAssign", "String.MulInto", "String.XorAssign"} {
+	for _, fn := range []string{"Hamiltonian.Add", "Hamiltonian.Coeff", "String.MulAssign", "String.MulInto"} {
 		if !slices.Contains(got, fn) {
 			t.Errorf("NoAllocFuncs(internal/pauli) = %v, missing %s", got, fn)
 		}

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/pauli"
 )
 
 func matricesEqualUpToPhase(a, b [2][2]complex128) bool {
@@ -98,95 +96,5 @@ func TestDiagramRendering(t *testing.T) {
 	}
 	if lines := strings.Count(d, "\n"); lines != 2 {
 		t.Errorf("diagram has %d lines, want 2", lines)
-	}
-}
-
-func TestTrotter2MatchesExactBetterThanTrotter1(t *testing.T) {
-	// Non-commuting 2-term Hamiltonian: the symmetric splitting must track
-	// the exact evolution more closely than first order at the same step
-	// count.
-	// XX and ZI anticommute, so the splitting order matters.
-	h := pauli.NewHamiltonian(2)
-	h.Add(0.6, pauli.MustParse("XX"))
-	h.Add(0.5, pauli.MustParse("ZI"))
-	tEvo := 0.4
-	psi0 := randomState(rand.New(rand.NewSource(3)), 2)
-
-	run := func(c *Circuit) []complex128 {
-		v := append([]complex128{}, psi0...)
-		runCircuit(c, v)
-		return v
-	}
-	exact := append([]complex128{}, psi0...)
-	exactEvolve(&exact, h, tEvo)
-
-	t1 := run(SynthesizeTrotter(h, tEvo, 2, OrderNatural))
-	t2 := run(SynthesizeTrotter2(h, tEvo, 2, OrderNatural))
-	e1 := stateDistance(t1, exact)
-	e2 := stateDistance(t2, exact)
-	if e2 >= e1 {
-		t.Errorf("2nd order error %v not better than 1st order %v", e2, e1)
-	}
-	if e2 > 1e-3 {
-		t.Errorf("2nd order error %v too large", e2)
-	}
-}
-
-// exactEvolve applies exp(−iHt) by Taylor series.
-func exactEvolve(psi *[]complex128, h *pauli.Hamiltonian, t float64) {
-	applyH := func(in []complex128) []complex128 {
-		out := make([]complex128, len(in))
-		for _, term := range h.Terms() {
-			tmp := append([]complex128{}, in...)
-			// Apply the Pauli string to tmp.
-			n := 0
-			for 1<<uint(n) < len(in) {
-				n++
-			}
-			applyPauliVec(term.S, tmp)
-			for i := range out {
-				out[i] += term.Coeff * tmp[i]
-			}
-		}
-		return out
-	}
-	result := append([]complex128{}, *psi...)
-	cur := append([]complex128{}, *psi...)
-	for k := 1; k <= 30; k++ {
-		cur = applyH(cur)
-		f := complex(0, -t) / complex(float64(k), 0)
-		for i := range cur {
-			cur[i] *= f
-			result[i] += cur[i]
-		}
-	}
-	*psi = result
-}
-
-func applyPauliVec(p pauli.String, psi []complex128) {
-	out := applyPauli(p, psi)
-	copy(psi, out)
-}
-
-func stateDistance(a, b []complex128) float64 {
-	d := 0.0
-	for i := range a {
-		d += cmplx.Abs(a[i]-b[i]) * cmplx.Abs(a[i]-b[i])
-	}
-	return math.Sqrt(d)
-}
-
-func TestTrotter2PalindromeOptimizes(t *testing.T) {
-	// The mirrored second-order structure should let the optimizer cancel
-	// at least the junction basis changes: optimized CX count strictly
-	// below raw.
-	h := pauli.NewHamiltonian(3)
-	h.Add(0.4, pauli.MustParse("XXI"))
-	h.Add(0.3, pauli.MustParse("IZZ"))
-	raw := SynthesizeTrotter2(h, 1.0, 1, OrderLexicographic)
-	opt := Optimize(raw)
-	if opt.CNOTCount() >= raw.CNOTCount() {
-		t.Errorf("no cancellation at the palindrome junction: %d vs %d",
-			opt.CNOTCount(), raw.CNOTCount())
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -316,21 +315,6 @@ func Stats() map[string]uint64 {
 		out[site] = n
 	}
 	return out
-}
-
-// Sites returns the armed plan's instrumented site names, sorted, for
-// log lines and error messages. Nil when disarmed.
-func Sites() []string {
-	p := current.Load()
-	if p == nil {
-		return nil
-	}
-	sites := make([]string, 0, len(p.rules))
-	for site := range p.rules {
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	return sites
 }
 
 // siteHash folds a site name into the splitmix64 stream (FNV-1a).

@@ -398,11 +398,3 @@ func Hop(n int, t float64, i, j int) *Hamiltonian {
 	h.AddHermitian(complex(t, 0), Op{i, true}, Op{j, false})
 	return h
 }
-
-// Merge appends all terms of g into h (same mode count required).
-func (h *Hamiltonian) Merge(g *Hamiltonian) {
-	if g.Modes != h.Modes {
-		panic("fermion: Merge mode mismatch")
-	}
-	h.Terms = append(h.Terms, g.Terms...)
-}

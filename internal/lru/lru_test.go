@@ -40,24 +40,6 @@ func TestPutRefreshesInPlace(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New[int, int](4)
-	for i := 0; i < 4; i++ {
-		c.Put(i, i)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("len after reset = %d", c.Len())
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("entry survived reset")
-	}
-	c.Put(9, 9) // still usable at the same capacity
-	if v, ok := c.Get(9); !ok || v != 9 {
-		t.Fatal("cache unusable after reset")
-	}
-}
-
 func TestCapacityOnePanicOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -36,11 +36,11 @@ type FamilyInfo struct {
 	Help   string
 }
 
-// family is one registered metric family: either an instrument
-// (counter/gauge/histogram with live children) or a collector function
-// evaluated at gather time (the bridge to counters that already live
-// elsewhere — store, fleet, fault, manager — so /metrics and /v1/stats
-// read the same underlying state and cannot drift).
+// family is one registered metric family: either a histogram with live
+// children or a collector function evaluated at gather time (the bridge
+// to counters that already live elsewhere — store, fleet, fault, manager
+// — so /metrics and /v1/stats read the same underlying state and cannot
+// drift).
 type family struct {
 	info    FamilyInfo
 	buckets []float64 // histograms only
@@ -49,17 +49,16 @@ type family struct {
 	children map[string]*child
 	order    []string // child keys, first-seen order (sorted at render)
 
-	collect func() []Sample // func-backed families; nil for instruments
+	collect func() []Sample // func-backed families; nil for histograms
 }
 
-// child is one label combination's state.
+// child is one label combination's histogram state.
 type child struct {
 	labels []string
 	mu     sync.Mutex
-	value  float64  // counter/gauge
-	counts []uint64 // histogram: per-bucket counts (len(buckets)+1, last is +Inf)
-	sum    float64  // histogram
-	count  uint64   // histogram
+	counts []uint64 // per-bucket counts (len(buckets)+1, last is +Inf)
+	sum    float64
+	count  uint64
 }
 
 // Registry holds metric families and renders them as Prometheus text.
@@ -104,30 +103,9 @@ func validMetricName(name string) bool {
 	return true
 }
 
-// Counter registers a monotonically increasing counter family.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	f := &family{
-		info:     FamilyInfo{Name: name, Kind: KindCounter, Labels: labels, Help: help},
-		children: make(map[string]*child),
-	}
-	r.register(f)
-	return &Counter{f: f}
-}
-
-// Gauge registers a gauge family (a value that can go up and down).
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	f := &family{
-		info:     FamilyInfo{Name: name, Kind: KindGauge, Labels: labels, Help: help},
-		children: make(map[string]*child),
-	}
-	r.register(f)
-	return &Gauge{f: f}
-}
-
 // Histogram registers a fixed-bucket histogram family. buckets are the
 // inclusive upper bounds of each bucket, strictly increasing; a final
-// +Inf bucket is implicit. p50/p95/p99 estimates are derivable from the
-// cumulative bucket counts (see Quantile).
+// +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	if len(buckets) == 0 {
 		buckets = DefLatencyBuckets
@@ -196,48 +174,14 @@ func (f *family) child(labelValues []string) *child {
 	defer f.mu.Unlock()
 	c, ok := f.children[key]
 	if !ok {
-		c = &child{labels: append([]string(nil), labelValues...)}
-		if f.info.Kind == KindHistogram {
-			c.counts = make([]uint64, len(f.buckets)+1)
+		c = &child{
+			labels: append([]string(nil), labelValues...),
+			counts: make([]uint64, len(f.buckets)+1),
 		}
 		f.children[key] = c
 		f.order = append(f.order, key)
 	}
 	return c
-}
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ f *family }
-
-// Add increments the counter for one label combination. delta must be
-// ≥ 0.
-func (c *Counter) Add(delta float64, labelValues ...string) {
-	ch := c.f.child(labelValues)
-	ch.mu.Lock()
-	ch.value += delta
-	ch.mu.Unlock()
-}
-
-// Inc is Add(1).
-func (c *Counter) Inc(labelValues ...string) { c.Add(1, labelValues...) }
-
-// Value reads the counter for one label combination.
-func (c *Counter) Value(labelValues ...string) float64 {
-	ch := c.f.child(labelValues)
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.value
-}
-
-// Gauge is a settable metric.
-type Gauge struct{ f *family }
-
-// Set stores the gauge value for one label combination.
-func (g *Gauge) Set(v float64, labelValues ...string) {
-	ch := g.f.child(labelValues)
-	ch.mu.Lock()
-	ch.value = v
-	ch.mu.Unlock()
 }
 
 // Histogram is a fixed-bucket distribution metric.
@@ -272,62 +216,6 @@ func (h *Histogram) Count(labelValues ...string) uint64 {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	return ch.count
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) of one label
-// combination from the bucket counts: the nearest-rank target is
-// located in its bucket and the value is interpolated linearly inside
-// the bucket's bounds. Samples landing in the +Inf bucket pin the
-// estimate to the last finite bound — with well-chosen buckets that is
-// the documented saturation behavior of every bucketed histogram.
-// Returns 0 with no samples.
-func (h *Histogram) Quantile(q float64, labelValues ...string) float64 {
-	ch := h.f.child(labelValues)
-	ch.mu.Lock()
-	counts := append([]uint64(nil), ch.counts...)
-	total := ch.count
-	ch.mu.Unlock()
-	return bucketQuantile(h.f.buckets, counts, total, q)
-}
-
-// bucketQuantile is the pure bucket → quantile estimate, split out so
-// the math is testable against exact fixtures and nearest-rank
-// properties without a registry.
-func bucketQuantile(buckets []float64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 || math.IsNaN(q) {
-		return 0
-	}
-	if q <= 0 {
-		q = math.SmallestNonzeroFloat64
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			if i >= len(buckets) {
-				// +Inf bucket: saturate at the last finite bound.
-				return buckets[len(buckets)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = buckets[i-1]
-			}
-			hi := buckets[i]
-			// Linear interpolation by rank position inside the bucket.
-			return lo + (hi-lo)*float64(rank-cum)/float64(n)
-		}
-		cum += n
-	}
-	return buckets[len(buckets)-1]
 }
 
 // WriteText renders the registry in the Prometheus text exposition
@@ -381,22 +269,17 @@ func (f *family) writeChildren(b *strings.Builder) {
 	f.mu.Unlock()
 	for _, ch := range children {
 		ch.mu.Lock()
-		switch f.info.Kind {
-		case KindHistogram:
-			var cum uint64
-			for i, n := range ch.counts {
-				cum += n
-				le := "+Inf"
-				if i < len(f.buckets) {
-					le = formatFloat(f.buckets[i])
-				}
-				writeSample(b, f.info.Name+"_bucket", f.info.Labels, ch.labels, "le", le, float64(cum))
+		var cum uint64
+		for i, n := range ch.counts {
+			cum += n
+			le := "+Inf"
+			if i < len(f.buckets) {
+				le = formatFloat(f.buckets[i])
 			}
-			writeSample(b, f.info.Name+"_sum", f.info.Labels, ch.labels, "", "", ch.sum)
-			writeSample(b, f.info.Name+"_count", f.info.Labels, ch.labels, "", "", float64(ch.count))
-		default:
-			writeSample(b, f.info.Name, f.info.Labels, ch.labels, "", "", ch.value)
+			writeSample(b, f.info.Name+"_bucket", f.info.Labels, ch.labels, "le", le, float64(cum))
 		}
+		writeSample(b, f.info.Name+"_sum", f.info.Labels, ch.labels, "", "", ch.sum)
+		writeSample(b, f.info.Name+"_count", f.info.Labels, ch.labels, "", "", float64(ch.count))
 		ch.mu.Unlock()
 	}
 }

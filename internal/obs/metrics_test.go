@@ -1,23 +1,18 @@
 package obs
 
 import (
-	"math"
-	"sort"
 	"strings"
 	"testing"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_requests_total", "requests", "route")
-	g := reg.Gauge("test_depth", "queue depth")
-	c.Inc("a")
-	c.Add(2, "a")
-	c.Inc("b")
-	g.Set(7)
-	if v := c.Value("a"); v != 3 {
-		t.Fatalf("counter a = %v, want 3", v)
-	}
+	reg.CounterFunc("test_requests_total", "requests", []string{"route"}, func() []Sample {
+		return []Sample{{Labels: []string{"a"}, Value: 3}, {Labels: []string{"b"}, Value: 1}}
+	})
+	reg.GaugeFunc("test_depth", "queue depth", nil, func() []Sample {
+		return []Sample{{Value: 7}}
+	})
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -38,13 +33,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dup_total", "x")
+	none := func() []Sample { return nil }
+	reg.CounterFunc("dup_total", "x", nil, none)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("duplicate registration did not panic")
 		}
 	}()
-	reg.Gauge("dup_total", "y")
+	reg.GaugeFunc("dup_total", "y", nil, none)
 }
 
 func TestFuncMetricsRender(t *testing.T) {
@@ -70,8 +66,9 @@ func TestFuncMetricsRender(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_esc_total", "escapes", "v")
-	c.Inc("a\"b\\c\nd")
+	reg.CounterFunc("test_esc_total", "escapes", []string{"v"}, func() []Sample {
+		return []Sample{{Labels: []string{"a\"b\\c\nd"}, Value: 1}}
+	})
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -105,80 +102,6 @@ func TestHistogramText(t *testing.T) {
 	}
 	if !strings.Contains(out, `test_latency_seconds_sum{route="a"} 5.55`) {
 		t.Errorf("sum line wrong:\n%s", out)
-	}
-}
-
-// Exact quantile fixtures: hand-computed interpolation results.
-func TestBucketQuantileFixtures(t *testing.T) {
-	buckets := []float64{1, 2, 4}
-	tests := []struct {
-		name   string
-		counts []uint64 // per bucket, then +Inf
-		total  uint64
-		q      float64
-		want   float64
-	}{
-		// 10 samples in (1,2]: rank ceil(.5*10)=5 → 1 + 1*(5/10) = 1.5
-		{"uniform one bucket p50", []uint64{0, 10, 0, 0}, 10, 0.50, 1.5},
-		// same bucket, p99 → rank 10 → 1 + 1*(10/10) = 2
-		{"uniform one bucket p99", []uint64{0, 10, 0, 0}, 10, 0.99, 2},
-		// 4 in first bucket, 4 in third: p50 rank 4 → first bucket upper = 0 + 1*(4/4)
-		{"two buckets p50", []uint64{4, 0, 4, 0}, 8, 0.50, 1},
-		// p75 rank 6 → third bucket, cum=4 before → 2 + 2*(2/4) = 3
-		{"two buckets p75", []uint64{4, 0, 4, 0}, 8, 0.75, 3},
-		// everything overflowed: saturate at last finite bound
-		{"inf saturation", []uint64{0, 0, 0, 7}, 7, 0.50, 4},
-		{"empty", []uint64{0, 0, 0, 0}, 0, 0.50, 0},
-		// single sample: rank 1 of 1 interpolates to its bucket's upper bound
-		{"single sample p01", []uint64{0, 0, 1, 0}, 1, 0.01, 4},
-	}
-	for _, tt := range tests {
-		if got := bucketQuantile(buckets, tt.counts, tt.total, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("%s: bucketQuantile = %v, want %v", tt.name, got, tt.want)
-		}
-	}
-}
-
-// Property test: for a deterministic pseudo-random sample set, the
-// bucketed quantile estimate must land inside the bucket that contains
-// the exact nearest-rank value (the same percentile definition hattload
-// uses on its sorted latency samples).
-func TestBucketQuantileVsNearestRank(t *testing.T) {
-	buckets := DefLatencyBuckets
-	maxv := buckets[len(buckets)-1]
-	for _, n := range []int{1, 7, 100, 1000} {
-		h := NewRegistry().Histogram("prop_seconds", "p", buckets)
-		samples := make([]float64, n)
-		seed := uint64(n) * 0x9e3779b97f4a7c15
-		for i := range samples {
-			// Deterministic stream in (0, maxv]; splitmix64 keeps the test
-			// reproducible without any global RNG.
-			u := float64(splitmix64(seed+uint64(i))%1_000_000) / 1_000_000
-			samples[i] = math.Max(1e-6, u*u*maxv) // squared: skew toward small latencies
-			h.Observe(samples[i])
-		}
-		sort.Float64s(samples)
-		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1.0} {
-			rank := int(math.Ceil(q * float64(n)))
-			if rank < 1 {
-				rank = 1
-			}
-			exact := samples[rank-1]
-			bi := bucketIndex(buckets, exact)
-			lo := 0.0
-			if bi > 0 {
-				lo = buckets[bi-1]
-			}
-			hi := maxv
-			if bi < len(buckets) {
-				hi = buckets[bi]
-			}
-			got := h.Quantile(q)
-			if got < lo || got > hi {
-				t.Errorf("n=%d q=%v: estimate %v outside bucket [%v, %v] of exact nearest-rank %v",
-					n, q, got, lo, hi, exact)
-			}
-		}
 	}
 }
 

@@ -69,23 +69,6 @@ func (s String) MulInto(dst *String, t String) {
 	dst.phase = (s.phase + t.phase + uint8(anti&1)*2) & 3
 }
 
-// XorAssign xors t's symplectic bits into s letter-wise, with no phase
-// bookkeeping: the result has the letters of s·t but keeps s's phase.
-// This is the parity update used by subtree/term-membership bookkeeping
-// where only the letter pattern matters; use MulAssign when the phase is
-// significant.
-//
-//hatt:noalloc
-func (s *String) XorAssign(t String) {
-	if s.n != t.n {
-		panic(fmt.Sprintf("pauli: size mismatch %d vs %d", s.n, t.n))
-	}
-	for i := range s.x {
-		s.x[i] ^= t.x[i]
-		s.z[i] ^= t.z[i]
-	}
-}
-
 // SupportAppend appends the sorted qubits with non-identity letters to dst
 // and returns the extended slice; with a pre-sized dst the call does not
 // allocate.
@@ -114,13 +97,6 @@ func (s String) Masks64() (x, z uint64) {
 		return 0, 0
 	}
 	return s.x[0], s.z[0]
-}
-
-// SupportMask64 returns the support as a bit mask (bit q set where the
-// letter is non-identity) for strings on at most 64 qubits.
-func (s String) SupportMask64() uint64 {
-	x, z := s.Masks64()
-	return x | z
 }
 
 // Fingerprint is a compact, comparable identifier of a string's letters

@@ -51,16 +51,6 @@ func checkMulVariants(t *testing.T, a, b String) {
 		t.Fatalf("MulAssign: %s, want %s", acc, want)
 	}
 
-	// XorAssign matches the letters of the product but keeps a's phase.
-	xa := a.Clone()
-	xa.XorAssign(b)
-	if !xa.EqualUpToPhase(want) {
-		t.Fatalf("XorAssign letters: %s, want %s", xa, want)
-	}
-	if xa.Phase() != a.Phase() {
-		t.Fatalf("XorAssign phase changed: %d, want %d", xa.Phase(), a.Phase())
-	}
-
 	// Aliased destination: dst == receiver.
 	self := a.Clone()
 	self.MulInto(&self, b)
@@ -282,7 +272,7 @@ func TestNoAllocAnnotationCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []string{"String.MulAssign", "String.MulInto", "String.XorAssign", "Hamiltonian.Add", "Hamiltonian.Coeff"} {
+	for _, fn := range []string{"String.MulAssign", "String.MulInto", "Hamiltonian.Add", "Hamiltonian.Coeff"} {
 		if !slices.Contains(annotated, fn) {
 			t.Errorf("%s lacks the %s annotation the zero-alloc gates rely on (annotated: %v)",
 				fn, annotations.Directive, annotated)

@@ -379,19 +379,6 @@ func MustParse(text string) String {
 	return s
 }
 
-// Extend returns a copy of s widened to n qubits (new qubits get identity).
-// Panics if n is smaller than s.N().
-func (s String) Extend(n int) String {
-	if n < s.n {
-		panic("pauli: Extend cannot shrink a string")
-	}
-	r := Identity(n)
-	copy(r.x, s.x)
-	copy(r.z, s.z)
-	r.phase = s.phase
-	return r
-}
-
 // ActsOnZeroAs reports how the letter on qubit q transforms |0⟩:
 // both I and Z fix |0⟩ (eigenvalue +1 or −1 has no effect on which basis
 // state results), X and Y flip it. Used by vacuum-preservation checks.

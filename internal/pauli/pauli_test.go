@@ -228,17 +228,6 @@ func TestWeightAndSupport(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	s := MustParse("XY")
-	e := s.Extend(5)
-	if e.N() != 5 || e.Letter(0) != Y || e.Letter(1) != X || e.Letter(4) != I {
-		t.Errorf("Extend wrong: %s", e)
-	}
-	if e.Phase() != s.Phase() {
-		t.Errorf("Extend dropped phase")
-	}
-}
-
 func TestKeyDistinguishesStrings(t *testing.T) {
 	a := MustParse("XZ")
 	b := MustParse("ZX")

@@ -33,7 +33,7 @@ type API struct {
 	mgr      *Manager
 	store    *store.Store  // may be nil; used for /v1/stats and /v1/store/{address}
 	fleet    *fleet.Store  // may be nil; used for the /v1/stats fleet block
-	ledger   *store.Ledger // may be nil; behind GET /v1/portfolio/stats
+	ledger   *store.Ledger // may be nil; used for the /v1/stats portfolio block
 	maxModes int
 	timeout  time.Duration
 	started  time.Time
@@ -114,8 +114,8 @@ func WithFleet(f *fleet.Store) APIOption {
 	return func(a *API) { a.fleet = f }
 }
 
-// WithLedger attaches the portfolio win/loss ledger so GET
-// /v1/portfolio/stats can serve it. Compile paths pick the ledger up
+// WithLedger attaches the portfolio win/loss ledger so /v1/stats
+// reports it in its portfolio block. Compile paths pick the ledger up
 // through the manager's Config.Ledger (async) and directly here (sync);
 // this option also feeds the sync path when the manager has none.
 func WithLedger(l *store.Ledger) APIOption {
@@ -180,7 +180,6 @@ func (a *API) routeTable() []struct {
 		{"POST /v1/jobs", a.handleSubmit},
 		{"GET /v1/jobs/{id}", a.handleJobStatus},
 		{"DELETE /v1/jobs/{id}", a.handleJobCancel},
-		{"GET /v1/portfolio/stats", a.handlePortfolioStats},
 		{"GET /v1/methods", a.handleMethods},
 		{"GET /v1/devices", a.handleDevices},
 		{"GET /v1/store/{address}", a.handleStoreExport},
@@ -834,24 +833,6 @@ func (a *API) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		resp.Partial = partialEnvelope(st.Model, p, st.Elapsed)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handlePortfolioStats serves the portfolio ledger: per-(model-shape,
-// method) win/loss rows plus the race counters feeding /metrics. With no
-// ledger attached the counters still report; the ledger block is empty.
-func (a *API) handlePortfolioStats(w http.ResponseWriter, r *http.Request) {
-	snap := store.LedgerSnapshot{Shapes: []store.LedgerShapeStats{}}
-	if a.ledger != nil {
-		snap = a.ledger.Snapshot()
-		if snap.Shapes == nil {
-			snap.Shapes = []store.LedgerShapeStats{}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"races":    compiler.PortfolioRaceCount(),
-		"outcomes": compiler.PortfolioOutcomes(),
-		"ledger":   snap,
-	})
 }
 
 func (a *API) handleMethods(w http.ResponseWriter, r *http.Request) {

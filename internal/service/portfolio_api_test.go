@@ -259,8 +259,9 @@ func TestJobProgressKeyedByMethod(t *testing.T) {
 }
 
 // TestPortfolioStatsEndpoint drives a sync portfolio compile through a
-// ledger-wired API and checks GET /v1/portfolio/stats reports the win —
-// then proves the ledger (and so the stats) survives a daemon restart.
+// ledger-wired API and checks the portfolio block of GET /v1/stats
+// reports the win — then proves the ledger (and so the stats) survives a
+// daemon restart.
 func TestPortfolioStatsEndpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "portfolio_ledger.json")
 	led, err := store.OpenLedger(path, 0)
@@ -275,10 +276,11 @@ func TestPortfolioStatsEndpoint(t *testing.T) {
 		t.Fatalf("compile: %d %v", resp.StatusCode, body)
 	}
 
-	rs, stats := getJSON(t, srv.URL+"/v1/portfolio/stats")
+	rs, all := getJSON(t, srv.URL+"/v1/stats")
 	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("portfolio stats: %d", rs.StatusCode)
+		t.Fatalf("stats: %d", rs.StatusCode)
 	}
+	stats, _ := all["portfolio"].(map[string]any)
 	ledger, ok := stats["ledger"].(map[string]any)
 	if !ok || ledger["plays"].(float64) < 1 {
 		t.Fatalf("stats ledger block = %v, want ≥ 1 play", stats)
@@ -307,8 +309,8 @@ func TestPortfolioStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := ledgerServer(t, led2)
-	_, stats2 := getJSON(t, srv2.URL+"/v1/portfolio/stats")
-	ledger2 := stats2["ledger"].(map[string]any)
+	_, all2 := getJSON(t, srv2.URL+"/v1/stats")
+	ledger2 := all2["portfolio"].(map[string]any)["ledger"].(map[string]any)
 	if ledger2["plays"] != ledger["plays"] {
 		t.Fatalf("ledger plays lost across restart: %v vs %v", ledger2["plays"], ledger["plays"])
 	}
@@ -319,25 +321,31 @@ func TestPortfolioStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestPortfolioStatsWithoutLedger: the route serves an empty—but
-// well-formed—payload when the daemon runs without a ledger.
+// TestPortfolioStatsWithoutLedger: without a ledger, the portfolio block
+// of GET /v1/stats still carries the race counters and has no ledger key.
 func TestPortfolioStatsWithoutLedger(t *testing.T) {
 	srv, _, _ := testServer(t, "")
-	rs, stats := getJSON(t, srv.URL+"/v1/portfolio/stats")
+	rs, all := getJSON(t, srv.URL+"/v1/stats")
 	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("portfolio stats: %d", rs.StatusCode)
+		t.Fatalf("stats: %d", rs.StatusCode)
 	}
-	ledger, ok := stats["ledger"].(map[string]any)
+	stats, ok := all["portfolio"].(map[string]any)
 	if !ok {
-		t.Fatalf("no ledger block: %v", stats)
+		t.Fatalf("no portfolio block: %v", all)
 	}
-	if _, ok := ledger["shapes"].([]any); !ok {
-		t.Fatalf("ledger shapes not an array: %v", ledger)
+	if _, ok := stats["races"].(float64); !ok {
+		t.Fatalf("portfolio races not a number: %v", stats)
+	}
+	if _, ok := stats["outcomes"].([]any); !ok {
+		t.Fatalf("portfolio outcomes not an array: %v", stats)
+	}
+	if l, ok := stats["ledger"]; ok {
+		t.Fatalf("ledger block %v with no ledger attached", l)
 	}
 }
 
 // TestPortfolioOutcomeKeys pins the documented method/outcome/count keys
-// on both surfaces that serve the race counters.
+// of the race counters in the portfolio block of GET /v1/stats.
 func TestPortfolioOutcomeKeys(t *testing.T) {
 	srv, _, _ := testServer(t, "")
 	resp, body := postJSON(t, srv.URL+"/v1/compile", `{"model":"h2","method":"portfolio:hatt+jw"}`)
@@ -346,23 +354,17 @@ func TestPortfolioOutcomeKeys(t *testing.T) {
 	}
 	_, stats := getJSON(t, srv.URL+"/v1/stats")
 	portfolio, _ := stats["portfolio"].(map[string]any)
-	_, pstats := getJSON(t, srv.URL+"/v1/portfolio/stats")
-	for surface, outcomes := range map[string]any{
-		"/v1/stats portfolio": portfolio["outcomes"],
-		"/v1/portfolio/stats": pstats["outcomes"],
-	} {
-		rows, _ := outcomes.([]any)
-		if len(rows) == 0 {
-			t.Fatalf("%s: no outcomes in %v", surface, outcomes)
-		}
-		for _, row := range rows {
-			r, _ := row.(map[string]any)
-			_, m := r["method"].(string)
-			_, o := r["outcome"].(string)
-			_, c := r["count"].(float64)
-			if len(r) != 3 || !m || !o || !c {
-				t.Fatalf("%s: outcome row %v, want keys method, outcome, count", surface, row)
-			}
+	rows, _ := portfolio["outcomes"].([]any)
+	if len(rows) == 0 {
+		t.Fatalf("no outcomes in %v", portfolio)
+	}
+	for _, row := range rows {
+		r, _ := row.(map[string]any)
+		_, m := r["method"].(string)
+		_, o := r["outcome"].(string)
+		_, c := r["count"].(float64)
+		if len(r) != 3 || !m || !o || !c {
+			t.Fatalf("outcome row %v, want keys method, outcome, count", row)
 		}
 	}
 }

@@ -301,15 +301,10 @@ type EstimateResult struct {
 	Ideal    float64 // noiseless expectation of the same circuit
 }
 
-// Estimate runs `shots` noisy trajectories of the circuit from |0…0⟩,
-// drawing one energy sample per trajectory, and reports mean, variance, and
-// bias against the noiseless circuit expectation.
-func Estimate(c *circuit.Circuit, h *pauli.Hamiltonian, nm NoiseModel, shots int, seed int64) EstimateResult {
-	return EstimateFrom(NewState(c.N), c, h, nm, shots, seed)
-}
-
-// EstimateFrom is Estimate with an explicit initial state (e.g. a prepared
-// Hartree–Fock state).
+// EstimateFrom runs `shots` noisy trajectories of the circuit from init
+// (|0…0⟩ or, e.g., a prepared Hartree–Fock state), drawing one energy
+// sample per trajectory, and reports mean, variance, and bias against the
+// noiseless circuit expectation.
 func EstimateFrom(init *State, c *circuit.Circuit, h *pauli.Hamiltonian, nm NoiseModel, shots int, seed int64) EstimateResult {
 	ideal := init.Clone()
 	ideal.ApplyCircuit(c)

@@ -145,7 +145,7 @@ func TestEstimateZeroNoiseUnbiased(t *testing.T) {
 	h.Add(-0.75, pauli.Identity(2))
 	c := circuit.New(2)
 	c.Append(circuit.X(0)) // |01⟩: E = 0.5·1 + 0.25·(−1) − 0.75 = −0.5
-	res := Estimate(c, h, NoiseModel{}, 4000, 7)
+	res := EstimateFrom(NewState(c.N), c, h, NoiseModel{}, 4000, 7)
 	if math.Abs(res.Ideal-(-0.5)) > 1e-10 {
 		t.Fatalf("ideal = %v, want -0.5", res.Ideal)
 	}
@@ -163,8 +163,8 @@ func TestEstimateNoiseIncreasesBias(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Append(circuit.CNOT(0, 1))
 	}
-	clean := Estimate(c, h, NoiseModel{}, 2000, 3)
-	noisy := Estimate(c, h, NoiseModel{P1: 0.01, P2: 0.05}, 2000, 3)
+	clean := EstimateFrom(NewState(c.N), c, h, NoiseModel{}, 2000, 3)
+	noisy := EstimateFrom(NewState(c.N), c, h, NoiseModel{P1: 0.01, P2: 0.05}, 2000, 3)
 	if noisy.Bias <= clean.Bias {
 		t.Errorf("noise did not increase bias: %v vs %v", noisy.Bias, clean.Bias)
 	}
@@ -180,7 +180,7 @@ func TestReadoutErrorFlipsOutcomes(t *testing.T) {
 	h.Add(1, pauli.MustParse("Z"))
 	c := circuit.New(1)
 	c.Append(circuit.H(0), circuit.H(0)) // identity-ish, keeps |0⟩: ⟨Z⟩ = 1
-	res := Estimate(c, h, NoiseModel{Readout: 0.5}, 4000, 5)
+	res := EstimateFrom(NewState(c.N), c, h, NoiseModel{Readout: 0.5}, 4000, 5)
 	if math.Abs(res.Mean) > 0.06 {
 		t.Errorf("fully randomized readout mean = %v, want ≈ 0", res.Mean)
 	}

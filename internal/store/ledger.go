@@ -105,9 +105,6 @@ func OpenLedger(path string, epsilon float64) (*Ledger, error) {
 	return l, nil
 }
 
-// Path returns the backing file ("" for memory-only ledgers).
-func (l *Ledger) Path() string { return l.path }
-
 // Record logs one completed portfolio race: the winner gains a win and
 // every loser a loss under the given model shape. Persistence is
 // best-effort — a failing disk degrades the ledger to memory-only
@@ -248,8 +245,8 @@ type LedgerShapeStats struct {
 	Methods []LedgerMethodStats `json:"methods"`
 }
 
-// LedgerSnapshot is the GET /v1/portfolio/stats payload: every
-// (shape, method) win/loss row, sorted by shape then method.
+// LedgerSnapshot is the ledger block of GET /v1/stats's portfolio
+// object: every (shape, method) win/loss row, sorted by shape then method.
 type LedgerSnapshot struct {
 	Plays        int64              `json:"plays"`
 	Epsilon      float64            `json:"epsilon"`

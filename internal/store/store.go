@@ -244,9 +244,6 @@ func (s *Store) DiskHealthy() bool {
 	return s.dir == "" || !s.diskDown.Load()
 }
 
-// Dir returns the disk-tier root, or "" when the store is memory-only.
-func (s *Store) Dir() string { return s.dir }
-
 // diskEntry is the on-disk JSON shape. The key fields are stored
 // alongside the payload so a load can confirm the file really holds the
 // requested content (a renamed or hash-colliding file degrades to a
