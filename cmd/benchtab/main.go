@@ -17,6 +17,9 @@
 //	                           # hot-path kernel suite, JSON artifact
 //
 // Scale knobs: -max-modes, -shots, -grid, -fh-modes, -fh-budget, -max-n.
+// -perf runs a fixed suite and takes none of them: besides -perf it
+// accepts only -json, -cpuprofile and -memprofile, and exits 2 when any
+// other flag is set.
 //
 // Mapping construction inside every table goes through the pkg/compiler
 // registry, so the columns stay in lockstep with what `hattc -list`
@@ -63,6 +66,13 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String("benchtab"))
 		return
+	}
+	if *perf {
+		if ignored := ignoredByPerf(flag.CommandLine); len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "benchtab: -perf runs a fixed kernel suite and would ignore %s; it accepts only -json, -cpuprofile and -memprofile\n",
+				strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -202,4 +212,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// perfFlags are the flags a -perf run reads.
+var perfFlags = map[string]bool{"perf": true, "json": true, "cpuprofile": true, "memprofile": true}
+
+// ignoredByPerf returns the flags set on fs that a -perf run would
+// ignore, each with its leading dash, in lexical order.
+func ignoredByPerf(fs *flag.FlagSet) []string {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !perfFlags[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
 }

@@ -14,25 +14,17 @@
 //	DELETE /v1/jobs/{id}        cancel a job (?result=partial keeps the best-so-far)
 //	GET    /v1/methods          registered mapping methods
 //	GET    /v1/devices          device catalog
-//	GET    /v1/store/{address}  fleet peer cache-fill (stored entry by content address)
 //	GET    /v1/healthz          liveness + version
 //	GET    /v1/readyz           readiness (503 + reasons while degraded)
-//	GET    /v1/stats            cache/fleet/portfolio counters (with the win/loss ledger), queue depth
+//	GET    /v1/stats            cache/portfolio counters (with the win/loss ledger), queue depth
 //	GET    /v1/traces/{id}      recent request trace (spans + timings)
 //	GET    /metrics             Prometheus text exposition of the same counters
 //
 // Every response carries a Trace-Id header; requests may supply a W3C
-// traceparent header to join an existing trace (propagated across fleet
-// peer fetches). Structured logs (JSON by default) go to stderr with
-// -log-level / -log-format; -debug-addr opens a second listener serving
-// /debug/pprof/* so profiling never shares the public socket.
-//
-// Several daemons form a fleet with -self plus -peers (or -fleet-config):
-// each node keeps serving everything, but a local store miss is first
-// routed by consistent hash to the peers and filled from whoever already
-// compiled it, so the fleet compiles each distinct problem once. A down
-// peer costs one bounded fetch (-peer-timeout) and the node degrades to
-// compiling locally. See docs/operations.md for topology guidance.
+// traceparent header to join an existing trace. Structured logs (JSON by
+// default) go to stderr with -log-level / -log-format; -debug-addr opens
+// a second listener serving /debug/pprof/* so profiling never shares the
+// public socket.
 //
 // On SIGINT/SIGTERM the daemon stops accepting work, drains in-flight
 // jobs (bounded by -drain-timeout), and exits.
@@ -51,13 +43,11 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/version"
-	"repro/pkg/compiler"
 )
 
 func main() {
@@ -77,11 +67,6 @@ func run() error {
 	syncTimeout := flag.Duration("timeout", service.DefaultTimeout, "synchronous /v1/compile compile budget")
 	jobTimeout := flag.Duration("job-timeout", service.DefaultMaxJobTime, "ceiling on any async job's compile time")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
-	selfURL := flag.String("self", "", "this node's advertised base URL in the fleet (e.g. http://10.0.0.1:7707)")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet nodes (enables peer cache-fill)")
-	fleetConfig := flag.String("fleet-config", "", "JSON fleet topology file ({self, peers, timeout_ms, retries}); overrides -self/-peers")
-	peerTimeout := flag.Duration("peer-timeout", fleet.DefaultTimeout, "per-attempt budget for one peer cache-fill fetch")
-	peerRetries := flag.Int("peer-retries", fleet.DefaultRetries, "extra attempts per failing peer fetch before falling back")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent synchronous compiles before shedding 429 (0 = 4×GOMAXPROCS)")
 	ledgerEps := flag.Float64("portfolio-epsilon", store.DefaultLedgerEpsilon,
 		"portfolio ledger exploration rate in [0,1] (0 = always launch the best-ranked method first)")
@@ -99,8 +84,8 @@ func run() error {
 	}
 
 	// Structured logs go to stderr so stdout keeps the few load-bearing
-	// plain lines (listen address, fleet size, drain notices) scripts and
-	// the CI smoke jobs grep for.
+	// plain lines (listen address, drain notices) scripts and the CI
+	// smoke jobs grep for.
 	if _, err := obs.InitLogger(os.Stderr, *logLevel, *logFormat); err != nil {
 		return err
 	}
@@ -135,47 +120,20 @@ func run() error {
 		return err
 	}
 
-	// Fleet wiring: with peers configured, the manager and the sync
-	// compile path see the fleet-wrapped store (local tiers first, then
-	// peer cache-fill); the API keeps the raw local store for the
-	// /v1/store peer endpoint so fills never cascade across nodes.
-	fleetCfg := fleet.Config{Self: *selfURL, Peers: fleet.ParsePeers(*peers), Timeout: *peerTimeout, Retries: *peerRetries}
-	if *fleetConfig != "" {
-		fleetCfg, err = fleet.LoadConfigFile(*fleetConfig)
-		if err != nil {
-			return err
-		}
-	}
-	var (
-		compileStore compiler.Store = st
-		fleetStore   *fleet.Store
-	)
-	if len(fleetCfg.Peers) > 0 {
-		fleetStore, err = fleet.NewStore(st, fleetCfg)
-		if err != nil {
-			return err
-		}
-		compileStore = fleetStore
-	}
-
 	mgr := service.New(service.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		Store:      compileStore,
+		Store:      st,
 		Ledger:     ledger,
 		MaxJobTime: *jobTimeout,
 	})
-	apiOpts := []service.APIOption{
+	api := service.NewAPI(mgr, st,
 		service.WithMaxModes(*maxModes),
 		service.WithSyncTimeout(*syncTimeout),
 		service.WithMaxInFlight(*maxInFlight),
 		service.WithLedger(ledger),
-	}
-	if fleetStore != nil {
-		apiOpts = append(apiOpts, service.WithFleet(fleetStore))
-	}
-	apiOpts = append(apiOpts, service.WithObservability(obs.NewRegistry(), obs.NewTracer(*traceBuffer)))
-	api := service.NewAPI(mgr, st, apiOpts...)
+		service.WithObservability(obs.NewRegistry(), obs.NewTracer(*traceBuffer)),
+	)
 
 	// /v1/stats and the registry collectors behind /metrics read the
 	// same counters, so the two views cannot drift.
@@ -214,9 +172,6 @@ func run() error {
 	// callers (the CI smoke job included) learn the real port.
 	fmt.Printf("hattd %s listening on %s (store: mem cap %d, disk %q)\n",
 		version.Version, ln.Addr(), *storeCap, *storeDir)
-	if fleetStore != nil {
-		fmt.Printf("hattd: fleet of %d peers (self %q)\n", len(fleetStore.Stats().Peers), fleetCfg.Self)
-	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()

@@ -1,6 +1,6 @@
 // Package ctxflow enforces the facade's cancellation contract in the
-// packages that promise it (pkg/compiler, internal/core,
-// internal/service, internal/fleet):
+// packages that promise it (pkg/compiler, internal/core and
+// internal/service):
 //
 //  1. No context.Background() or context.TODO() in library code — a
 //     detached context severs the caller's cancellation and deadline.
@@ -32,7 +32,6 @@ var Analyzer = &framework.Analyzer{
 		"repro/pkg/compiler",
 		"repro/internal/core",
 		"repro/internal/service",
-		"repro/internal/fleet",
 	},
 	Run: run,
 }

@@ -3,7 +3,7 @@
 // //hatt:noalloc function. A disarmed failpoint is a single atomic load
 // — but that is still a load and a branch the kernels must not pay, and
 // an armed plan would make a "zero-cost" function allocate, sleep, or
-// error. Chaos belongs at the service, store, and fleet seams, where
+// error. Chaos belongs at the service and store seams, where
 // failure is part of the contract; inside a kernel a failpoint is a
 // correctness bug waiting for the first armed plan.
 package faultsafe

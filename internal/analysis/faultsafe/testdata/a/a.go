@@ -12,7 +12,7 @@ func Seam(ctx context.Context) error {
 	if err := fault.Point("store.disk.write"); err != nil {
 		return err
 	}
-	return fault.PointCtx(ctx, "fleet.peer.dial")
+	return fault.PointCtx(ctx, "service.queue.stall")
 }
 
 //hatt:noalloc

@@ -36,7 +36,6 @@ var Analyzer = &framework.Analyzer{
 		"repro/internal/store",
 		"repro/internal/service",
 		"repro/internal/lru",
-		"repro/internal/fleet",
 	},
 	Run: run,
 }

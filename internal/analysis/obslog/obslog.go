@@ -1,5 +1,5 @@
-// Package obslog holds the service and fleet layers to the structured
-// logging contract: every operational event goes through log/slog (the
+// Package obslog holds the service layer to the structured logging
+// contract: every operational event goes through log/slog (the
 // one sink -log-level and -log-format configure, and the only one that
 // attaches trace_id/span_id correlation attrs), never through ad-hoc
 // prints.
@@ -23,8 +23,8 @@ import (
 // Analyzer is the obslog pass.
 var Analyzer = &framework.Analyzer{
 	Name:  "obslog",
-	Doc:   "service and fleet code logs through log/slog only, never fmt.Print* or log.Print*",
-	Scope: []string{"repro/internal/service", "repro/internal/fleet"},
+	Doc:   "service code logs through log/slog only, never fmt.Print* or log.Print*",
+	Scope: []string{"repro/internal/service"},
 	Run:   run,
 }
 
@@ -49,7 +49,7 @@ func run(pass *framework.Pass) error {
 						name = sel.Sel.Name
 					}
 					pass.Reportf(call.Pos(),
-						"%s.%s in service/fleet code; log through log/slog so the line is leveled, structured, and trace-correlated",
+						"%s.%s in service code; log through log/slog so the line is leveled, structured, and trace-correlated",
 						pkg, name)
 				}
 			}

@@ -8,7 +8,7 @@
 //
 // A plan is a seeded set of per-site rules:
 //
-//	seed=42;fleet.peer.status=error*6;store.disk.write=torn:0.5@30
+//	seed=42;store.disk.read=error*6;store.disk.write=torn:0.5@30
 //
 // Grammar, semicolon-separated:
 //
@@ -327,8 +327,8 @@ func siteHash(site string) uint64 {
 	return h
 }
 
-// splitmix64 is the same mixer hattload uses for its deterministic
-// request streams; identical seeds replay identical fault schedules.
+// splitmix64 is the mixer behind every firing decision; identical seeds
+// replay identical fault schedules.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -2,9 +2,9 @@
 // portfolio-smoke job runs: it reads Majorana Pauli strings (one per
 // line, in M0..M{2N-1} order — e.g. `jq -r '.partial.mapping[]'` over a
 // job's partial block) and re-runs the same algebra validation the
-// compiler and the fleet fill enforce: pairwise anticommutation, and
-// algebraic independence of the derived mode operators. It exits
-// non-zero on any violation, so
+// compiler and the store's disk tier enforce: pairwise
+// anticommutation, and algebraic independence of the derived mode
+// operators. It exits non-zero on any violation, so
 //
 //	curl .../v1/jobs/job-000001?include_partial=true \
 //	  | jq -r '.partial.mapping[]' | go run ./internal/mapping/mappingcheck

@@ -38,8 +38,8 @@ type FamilyInfo struct {
 
 // family is one registered metric family: either a histogram with live
 // children or a collector function evaluated at gather time (the bridge
-// to counters that already live elsewhere — store, fleet, fault, manager
-// — so /metrics and /v1/stats read the same underlying state and cannot
+// to counters that already live elsewhere — store, fault, manager — so
+// /metrics and /v1/stats read the same underlying state and cannot
 // drift).
 type family struct {
 	info    FamilyInfo
@@ -126,7 +126,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 
 // CounterFunc registers a counter family whose samples are produced by
 // fn at gather time — the bridge for counters owned elsewhere (store
-// hits, fleet fetch outcomes, fault injections) so the one underlying
+// hits, fault injections) so the one underlying
 // atomic feeds /v1/stats and /metrics alike.
 func (r *Registry) CounterFunc(name, help string, labels []string, fn func() []Sample) {
 	r.register(&family{
@@ -164,22 +164,28 @@ var DefLatencyBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// child returns the histogram state for one label combination, creating
+// it on first use. The lookup key is built in a stack buffer and the map
+// is indexed with string(key), which Go does without copying, so
+// observing an existing child allocates nothing.
 func (f *family) child(labelValues []string) *child {
 	if len(labelValues) != len(f.info.Labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.info.Name, len(f.info.Labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], labelValues)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	if !ok {
 		c = &child{
 			labels: append([]string(nil), labelValues...),
 			counts: make([]uint64, len(f.buckets)+1),
 		}
-		f.children[key] = c
-		f.order = append(f.order, key)
+		k := string(key)
+		f.children[k] = c
+		f.order = append(f.order, k)
 	}
 	return c
 }
@@ -339,7 +345,19 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-func labelKey(values []string) string { return strings.Join(values, "\x00") }
+// appendLabelKey appends the key of one label combination, its values
+// joined by NUL, to dst.
+func appendLabelKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, 0)
+		}
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
+func labelKey(values []string) string { return string(appendLabelKey(nil, values)) }
 
 // Handler serves the registry as GET /metrics.
 func (r *Registry) Handler() http.Handler {

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/analysis/annotations"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -48,7 +50,7 @@ func TestFuncMetricsRender(t *testing.T) {
 	reg.CounterFunc("test_injected_total", "fault injections", []string{"site"}, func() []Sample {
 		return []Sample{
 			{Labels: []string{"store.disk.write"}, Value: 4},
-			{Labels: []string{"fleet.peer.dial"}, Value: 2},
+			{Labels: []string{"service.queue.stall"}, Value: 2},
 		}
 	})
 	var b strings.Builder
@@ -57,7 +59,7 @@ func TestFuncMetricsRender(t *testing.T) {
 	}
 	out := b.String()
 	// Samples sort by label value for deterministic scrapes.
-	i := strings.Index(out, `site="fleet.peer.dial"`)
+	i := strings.Index(out, `site="service.queue.stall"`)
 	j := strings.Index(out, `site="store.disk.write"`)
 	if i < 0 || j < 0 || i > j {
 		t.Fatalf("func samples missing or unsorted:\n%s", out)
@@ -116,5 +118,22 @@ func TestFormatFloat(t *testing.T) {
 		if got := formatFloat(tt.v); got != tt.want {
 			t.Errorf("formatFloat(%v) = %q, want %q", tt.v, got, tt.want)
 		}
+	}
+}
+
+// TestObserveAllocs: once a label combination has its child, observing
+// it again allocates nothing — hattd observes on every request and every
+// ended span.
+func TestObserveAllocs(t *testing.T) {
+	if annotations.RaceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	h := NewRegistry().Histogram("test_observe_seconds", "x", DefLatencyBuckets, "route", "status")
+	h.Observe(0.01, "POST /v1/compile", "200") // creates the child
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.01, "POST /v1/compile", "200") }); n != 0 {
+		t.Errorf("Observe allocates %.1f times per call on an existing child, want 0", n)
+	}
+	if got := h.Count("POST /v1/compile", "200"); got != 1002 {
+		t.Errorf("Count = %d, want 1002", got)
 	}
 }

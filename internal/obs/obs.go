@@ -1,7 +1,7 @@
 // Package obs is the daemon's stdlib-only observability layer: request
 // tracing (trace.go), a metrics registry with a Prometheus text surface
-// (metrics.go), and the structured-logging conventions shared by hattd,
-// hattc, and hattload (this file).
+// (metrics.go), and the structured-logging conventions shared by hattd
+// and hattc (this file).
 //
 // The three concerns meet in the request path: the HTTP edge mints (or
 // adopts, from a W3C traceparent header) a trace context and carries it
@@ -11,8 +11,7 @@
 // in the stage-duration histogram of the metrics registry (served by
 // GET /metrics). Log lines emitted through L(ctx) carry the same
 // trace_id/span_id attributes, so one identifier correlates the span
-// timeline, the metrics, and the logs of a single request — across
-// fleet nodes, because the trace context rides outgoing peer fetches.
+// timeline, the metrics, and the logs of a single request.
 //
 // Everything is opt-in by construction: code instrumented with
 // StartSpan pays one context lookup and nil check when no tracer is
@@ -33,7 +32,7 @@ import (
 // error; format is json (one object per line, machine-parseable) or
 // text. The logger writes to w — conventionally os.Stderr, keeping
 // stdout free for the documented machine-readable output (hattd's
-// listening-address line, hattc's results, hattload's report).
+// listening-address line, hattc's results).
 func InitLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch strings.ToLower(level) {
@@ -65,7 +64,7 @@ func InitLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 
 // L returns the logger for a request context: slog.Default() with the
 // context's trace_id/span_id attached when the context carries a span.
-// It is the one logging entry point service and fleet code use, so
+// It is the one logging entry point service code uses, so
 // every event inside a traced request is correlatable with its span
 // timeline.
 func L(ctx context.Context) *slog.Logger {

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// TraceID identifies one request end to end, across fleet nodes.
+// TraceID identifies one request end to end.
 type TraceID [16]byte
 
 // SpanID identifies one span within a trace.
@@ -94,15 +94,6 @@ func isLowerHex(s string) bool {
 		}
 	}
 	return true
-}
-
-// InjectTraceparent stamps the context's span identity onto an outgoing
-// request's headers (the fleet peer-fetch path), so the receiving node
-// joins the originating trace. A context without a span is a no-op.
-func InjectTraceparent(ctx context.Context, h http.Header) {
-	if sc := SpanContextFrom(ctx); sc.Valid() {
-		h.Set(traceparentHeader, Traceparent(sc))
-	}
 }
 
 // TraceparentFrom extracts and validates the traceparent header of an
@@ -286,8 +277,8 @@ func NewTracer(capacity int) *Tracer {
 func (t *Tracer) SetStageHistogram(h *Histogram) { t.stage = h }
 
 // nextID draws the next value of the tracer's splitmix64 ID stream:
-// unique within the process, seeded randomly so two nodes do not mint
-// colliding trace IDs.
+// unique within the process, seeded randomly so two processes do not
+// mint colliding trace IDs.
 func (t *Tracer) nextID() uint64 {
 	for {
 		if id := splitmix64(t.idbase + t.idctr.Add(1)); id != 0 {
@@ -383,8 +374,8 @@ func (t *Tracer) Len() int {
 func (t *Tracer) Evicted() int64 { return t.evicted.Load() }
 
 // splitmix64 is the repository's shared deterministic mixer (same as
-// hattload, internal/fault, and the fleet breaker jitter), used here to
-// stretch one random seed into a unique ID stream.
+// internal/fault), used here to stretch one random seed into a unique ID
+// stream.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

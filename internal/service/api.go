@@ -17,7 +17,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/fermion"
-	"repro/internal/fleet"
 	"repro/internal/mapping"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -31,8 +30,7 @@ import (
 // or absurd input is always a 4xx, never a panic.
 type API struct {
 	mgr      *Manager
-	store    *store.Store  // may be nil; used for /v1/stats and /v1/store/{address}
-	fleet    *fleet.Store  // may be nil; used for the /v1/stats fleet block
+	store    *store.Store  // may be nil; used for /v1/stats and /v1/readyz
 	ledger   *store.Ledger // may be nil; used for the /v1/stats portfolio block
 	maxModes int
 	timeout  time.Duration
@@ -106,14 +104,6 @@ func WithSyncTimeout(d time.Duration) APIOption {
 	}
 }
 
-// WithFleet attaches the node's fleet store so /v1/stats reports the
-// peer cache-fill counters. The compile paths pick the fleet store up
-// through the manager's Config.Store; this option only feeds
-// observability.
-func WithFleet(f *fleet.Store) APIOption {
-	return func(a *API) { a.fleet = f }
-}
-
 // WithLedger attaches the portfolio win/loss ledger so /v1/stats
 // reports it in its portfolio block. Compile paths pick the ledger up
 // through the manager's Config.Ledger (async) and directly here (sync);
@@ -182,7 +172,6 @@ func (a *API) routeTable() []struct {
 		{"DELETE /v1/jobs/{id}", a.handleJobCancel},
 		{"GET /v1/methods", a.handleMethods},
 		{"GET /v1/devices", a.handleDevices},
-		{"GET /v1/store/{address}", a.handleStoreExport},
 		{"GET /v1/traces/{id}", a.handleTraces},
 		{"GET /v1/healthz", a.handleHealthz},
 		{"GET /v1/readyz", a.handleReadyz},
@@ -843,36 +832,6 @@ func (a *API) handleDevices(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"devices": arch.Catalog()})
 }
 
-// handleStoreExport is the fleet peer cache-fill endpoint: it serves the
-// canonical wire encoding of one stored entry, addressed by the URL form
-// of its content key (store.Key.Address). Responses come from this
-// node's own store tiers only — a node answers fleet traffic from what
-// it holds, never by fanning out again, so fills cannot cascade.
-//
-// 400 for a malformed address, 404 when the store is disabled or the
-// entry is absent. The 200 body is the store's disk-entry JSON, which
-// the requesting peer re-validates (key match + mapping algebra) before
-// trusting.
-func (a *API) handleStoreExport(w http.ResponseWriter, r *http.Request) {
-	key, err := store.ParseAddress(r.PathValue("address"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if a.store == nil {
-		writeErr(w, http.StatusNotFound, "service: no store attached")
-		return
-	}
-	raw, ok := a.store.Export(key)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "service: no entry at this address")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
-}
-
 // handleHealthz is the liveness probe: the process is up and serving
 // HTTP. It deliberately checks nothing else — a degraded node must
 // still answer 200 here so orchestrators don't restart a process that
@@ -886,10 +845,10 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe. A live process can still be in
-// no shape to take traffic: draining for shutdown, its disk tier
-// failing writes, or with circuit breakers open to its peers. Those
-// answer 503 with the reasons listed, so load balancers steer around
-// the node while it recovers; 200 {"status":"ready"} otherwise.
+// no shape to take traffic: draining for shutdown, or its disk tier
+// failing writes. Those answer 503 with the reasons listed, so load
+// balancers steer around the node while it recovers; 200
+// {"status":"ready"} otherwise.
 func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if a.mgr != nil && a.mgr.Draining() {
@@ -897,11 +856,6 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if a.store != nil && !a.store.DiskHealthy() {
 		reasons = append(reasons, "store: disk tier failing writes")
-	}
-	if a.fleet != nil {
-		if open := a.fleet.OpenBreakers(); len(open) > 0 {
-			reasons = append(reasons, "fleet: breaker open for "+strings.Join(open, ", "))
-		}
 	}
 	if len(reasons) == 0 {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
@@ -933,9 +887,6 @@ func (a *API) statsSnapshot() map[string]any {
 	}
 	if a.store != nil {
 		out["store"] = a.store.Stats()
-	}
-	if a.fleet != nil {
-		out["fleet"] = a.fleet.Stats()
 	}
 	portfolio := map[string]any{
 		"races":    compiler.PortfolioRaceCount(),

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/store"
 )
 
@@ -80,26 +79,19 @@ func TestDocsMatchMetrics(t *testing.T) {
 	}
 	docs := string(raw)
 
-	// A fleet-wired API registers the full inventory (store, jobs, and
-	// fleet families included); the fleet needs no live peers for that.
+	// An API over a manager and a store registers the full inventory
+	// (store and jobs families included).
 	st, err := store.Open(4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fleet.NewStore(st, fleet.Config{
-		Self:  "http://127.0.0.1:1",
-		Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := New(Config{Workers: 1, QueueDepth: 1, Store: f})
+	mgr := New(Config{Workers: 1, QueueDepth: 1, Store: st})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = mgr.Shutdown(ctx)
 	})
-	api := NewAPI(mgr, st, WithFleet(f))
+	api := NewAPI(mgr, st)
 
 	registered := make(map[string]bool)
 	for _, fam := range api.Registry().Families() {

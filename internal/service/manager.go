@@ -365,7 +365,7 @@ func (m *Manager) run(j *job) {
 		j.mu.Unlock()
 	}))
 	// Anytime best-so-far: partials are re-validated (the same
-	// anticommutation check the fleet fill runs on arriving entries)
+	// anticommutation check the disk tier runs on loaded entries)
 	// before they become pollable, and only a strict improvement
 	// replaces the incumbent — a poller's partial weight never rises.
 	opts = append(opts, compiler.WithPartial(func(p compiler.PartialResult) {

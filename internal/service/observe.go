@@ -40,9 +40,9 @@ func (a *API) MetricsHandler() http.Handler { return a.reg.Handler() }
 
 // registerMetrics declares the API's metric families. Everything here
 // reads the same underlying counters /v1/stats reports — the atomics on
-// the API, the manager's queue and job table, store.Stats, fleet.Stats,
-// fault.Stats — so the two surfaces cannot drift (the stats-vs-metrics
-// equality test holds them together).
+// the API, the manager's queue and job table, store.Stats, fault.Stats —
+// so the two surfaces cannot drift (the stats-vs-metrics equality test
+// holds them together).
 func (a *API) registerMetrics() {
 	reg := a.reg
 	a.reqHist = reg.Histogram("hatt_http_request_duration_seconds",
@@ -110,48 +110,6 @@ func (a *API) registerMetrics() {
 					{Labels: []string{"error"}, Value: float64(st.DiskErrors)},
 					{Labels: []string{"quarantine"}, Value: float64(st.DiskQuarantines)},
 				}
-			})
-	}
-	if a.fleet != nil {
-		reg.CounterFunc("hatt_fleet_peer_fetch_total", "Peer cache-fill attempts by outcome.", []string{"outcome"},
-			func() []obs.Sample {
-				st := a.fleet.Stats()
-				return []obs.Sample{
-					{Labels: []string{"hit"}, Value: float64(st.PeerHits)},
-					{Labels: []string{"miss"}, Value: float64(st.PeerMiss)},
-					{Labels: []string{"error"}, Value: float64(st.PeerError)},
-					{Labels: []string{"skip"}, Value: float64(st.PeerSkips)},
-				}
-			})
-		reg.GaugeFunc("hatt_fleet_breaker_state", "Per-peer breaker state (0 closed, 1 half-open, 2 open).", []string{"peer"},
-			func() []obs.Sample {
-				st := a.fleet.Stats()
-				out := make([]obs.Sample, 0, len(st.Breakers))
-				for peer, b := range st.Breakers {
-					v := 0.0
-					switch b.State {
-					case "half_open":
-						v = 1
-					case "open":
-						v = 2
-					}
-					out = append(out, obs.Sample{Labels: []string{peer}, Value: v})
-				}
-				return out
-			})
-		reg.CounterFunc("hatt_fleet_breaker_transitions_total", "Breaker state transitions by peer and kind.",
-			[]string{"peer", "transition"},
-			func() []obs.Sample {
-				st := a.fleet.Stats()
-				out := make([]obs.Sample, 0, 3*len(st.Breakers))
-				for peer, b := range st.Breakers {
-					out = append(out,
-						obs.Sample{Labels: []string{peer, "open"}, Value: float64(b.Opens)},
-						obs.Sample{Labels: []string{peer, "half_open"}, Value: float64(b.HalfOpens)},
-						obs.Sample{Labels: []string{peer, "close"}, Value: float64(b.Closes)},
-					)
-				}
-				return out
 			})
 	}
 	// Portfolio race counters read the compiler's package-level counters

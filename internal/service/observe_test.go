@@ -150,70 +150,6 @@ func TestInlineCompileTracesModelBuild(t *testing.T) {
 	t.Fatalf("inline compile has no model.build span (have %v)", spanNames(t, trace))
 }
 
-// TestFleetPeerFetchSpanCarriesTraceID is the two-node propagation
-// proof: a compile on node B that fills from peer A must record B's
-// fleet.peer.fetch span under the trace ID the caller injected, and A
-// must see the same trace ID arrive on the peer fetch it served.
-func TestFleetPeerFetchSpanCarriesTraceID(t *testing.T) {
-	a, b := startFleetNode(t), startFleetNode(t)
-	a.srv = httptest.NewUnstartedServer(http.NotFoundHandler())
-	b.srv = httptest.NewUnstartedServer(http.NotFoundHandler())
-	a.srv.Start()
-	b.srv.Start()
-	t.Cleanup(a.srv.Close)
-	t.Cleanup(b.srv.Close)
-	peers := []string{a.srv.URL, b.srv.URL}
-	a.joinFleet(t, a.srv.URL, peers)
-	b.joinFleet(t, b.srv.URL, peers)
-
-	req := `{"model":"hubbard:2x2","method":"jw"}`
-
-	// Seed node A's store with a genuine compile.
-	if r, body := postJSON(t, a.srv.URL+"/v1/compile", req); r.StatusCode != http.StatusOK || body["cached"] != false {
-		t.Fatalf("seed compile on A: %d cached=%v", r.StatusCode, body["cached"])
-	}
-
-	// Same request on B with the caller's traceparent: peer fill from A.
-	resp, body := postTraced(t, b.srv.URL+"/v1/compile", req)
-	if resp.StatusCode != http.StatusOK || body["cached"] != true {
-		t.Fatalf("compile on B: %d cached=%v (%v)", resp.StatusCode, body["cached"], body)
-	}
-	if got := resp.Header.Get("Trace-Id"); got != sampleTraceID {
-		t.Fatalf("node B Trace-Id = %q, want the injected %q", got, sampleTraceID)
-	}
-
-	// B's buffered trace must hold the peer fetch span, attributed to
-	// the peer it hit, under the originating trace ID.
-	r2, trace := getJSON(t, b.srv.URL+"/v1/traces/"+sampleTraceID)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/traces on B: %d %v", r2.StatusCode, trace)
-	}
-	names := spanNames(t, trace)
-	if !containsName(names, "fleet.peer.fetch") {
-		t.Fatalf("node B trace has no fleet.peer.fetch span (have %v)", names)
-	}
-	for _, s := range trace["spans"].([]any) {
-		span := s.(map[string]any)
-		if span["name"] != "fleet.peer.fetch" {
-			continue
-		}
-		attrs, _ := span["attrs"].(map[string]any)
-		if attrs["outcome"] != "hit" {
-			t.Errorf("fleet.peer.fetch outcome = %v, want hit (attrs %v)", attrs["outcome"], attrs)
-		}
-	}
-
-	// The outgoing fetch carried the traceparent onward: node A's
-	// /v1/store request recorded its own root span under the same trace.
-	r3, remote := getJSON(t, a.srv.URL+"/v1/traces/"+sampleTraceID)
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/traces on A: %d %v (peer fetch did not propagate the trace)", r3.StatusCode, remote)
-	}
-	if names := spanNames(t, remote); !containsName(names, "http.request") {
-		t.Errorf("node A's trace missing the http.request span for the peer fetch (have %v)", names)
-	}
-}
-
 // scrapeMetrics renders the registry and parses every sample line into
 // a map keyed by the full sample identity ('name{labels}').
 func scrapeMetrics(t *testing.T, reg *obs.Registry) map[string]float64 {

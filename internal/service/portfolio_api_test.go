@@ -35,7 +35,7 @@ func ledgerServer(t *testing.T, led *store.Ledger) *httptest.Server {
 }
 
 // remapPartial re-runs the partial block's mapping through the same
-// anticommutation validation the fleet fill applies to arriving entries.
+// anticommutation validation the disk tier applies to loaded entries.
 func remapPartial(t *testing.T, partial map[string]any) *mapping.Mapping {
 	t.Helper()
 	modes := int(partial["modes"].(float64))

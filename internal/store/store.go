@@ -24,14 +24,17 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,9 +78,8 @@ type Entry struct {
 	Optimal         bool
 	Visited         int64
 	// Routed is the hardware summary of a routed compile. It lives in
-	// the memory tier only: the disk and wire encodings leave it out, so
-	// an entry loaded from disk or a peer arrives without one and every
-	// summary a node serves was computed by that node.
+	// the memory tier only: the disk encoding leaves it out, so an entry
+	// loaded from disk arrives without one and is routed once more.
 	Routed *Routed
 }
 
@@ -260,6 +262,48 @@ type diskEntry struct {
 }
 
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id+".json") }
+
+// encodeEntry marshals one entry into the disk JSON shape.
+func encodeEntry(key Key, e *Entry) ([]byte, error) {
+	var mt bytes.Buffer
+	if err := e.Mapping.WriteText(&mt); err != nil {
+		return nil, fmt.Errorf("store: encode mapping: %w", err)
+	}
+	return json.Marshal(diskEntry{
+		Hamiltonian:     key.Hamiltonian,
+		Spec:            key.Spec,
+		Options:         key.Options,
+		Method:          e.Method,
+		PredictedWeight: e.PredictedWeight,
+		Optimal:         e.Optimal,
+		Visited:         e.Visited,
+		Mapping:         mt.String(),
+	})
+}
+
+// decodeEntry unmarshals and validates the disk JSON shape against the
+// key it is supposed to hold. Every failure is an error; loadDisk turns
+// it into a tolerated miss.
+func decodeEntry(raw []byte, key Key) (*Entry, error) {
+	var de diskEntry
+	if err := json.Unmarshal(raw, &de); err != nil {
+		return nil, fmt.Errorf("store: decode entry: %w", err)
+	}
+	if de.Hamiltonian != key.Hamiltonian || de.Spec != key.Spec || de.Options != key.Options {
+		return nil, fmt.Errorf("store: entry key mismatch (have %q/%q/%q)", de.Hamiltonian, de.Spec, de.Options)
+	}
+	m, err := mapping.ReadText(strings.NewReader(de.Mapping))
+	if err != nil {
+		return nil, fmt.Errorf("store: entry mapping: %w", err)
+	}
+	return &Entry{
+		Method:          de.Method,
+		Mapping:         m,
+		PredictedWeight: de.PredictedWeight,
+		Optimal:         de.Optimal,
+		Visited:         de.Visited,
+	}, nil
+}
 
 // loadDisk reads, validates, and parses the disk entry for id. Every
 // failure mode — missing file, bad JSON, key mismatch, mapping that

@@ -280,7 +280,7 @@ func Compile(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, 
 // the method (the progress callback still sees StageStart/StageDone, so
 // observers need no cache awareness), a miss populates the store. A
 // routed hit serves the routed summary stored with the mapping; an entry
-// without one (loaded from disk or a peer) is routed once and stored
+// without one (loaded from disk) is routed once and stored
 // back with it.
 func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltonian, o Options) (*Result, error) {
 	m, err := Resolve(spec)
@@ -304,9 +304,9 @@ func compileWith(ctx context.Context, spec string, mh *fermion.MajoranaHamiltoni
 	var key store.Key
 	if cacheable {
 		key = storeKey(spec, mh, o, dev)
-		gctx, getSpan := obs.StartSpan(ctx, "store.get")
+		_, getSpan := obs.StartSpan(ctx, "store.get")
 		getSpan.SetAttr("method", m.Name())
-		e, ok := storeLookup(gctx, key, o)
+		e, ok := o.Store.Get(key)
 		getSpan.SetAttr("hit", strconv.FormatBool(ok))
 		getSpan.End()
 		if ok {

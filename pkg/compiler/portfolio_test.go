@@ -67,7 +67,7 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 
 // TestPortfolioPartialsMonotone pins the anytime contract: partial
 // weights strictly decrease, every partial passes the same algebra
-// re-validation the fleet fill uses, and the final winner is at least
+// re-validation the disk tier uses, and the final winner is at least
 // as good as the last partial.
 func TestPortfolioPartialsMonotone(t *testing.T) {
 	mh := portfolioModel(t, "molecule:10")

@@ -22,16 +22,6 @@ type Store interface {
 	Put(key store.Key, entry *store.Entry)
 }
 
-// ContextStore is the optional context-aware extension of Store. A
-// store whose Get may leave the process — the fleet wrapper dials peers
-// — implements GetContext so the compile request's cancellation reaches
-// the remote fetch; Compile type-asserts for it and falls back to plain
-// Get. In-memory stores have no reason to implement it.
-type ContextStore interface {
-	Store
-	GetContext(ctx context.Context, key store.Key) (*store.Entry, bool)
-}
-
 // WithStore attaches a content-addressed result store. Before running a
 // method, Compile looks up (Hamiltonian fingerprint, method spec,
 // Options.Digest) and returns the stored mapping on a hit — skipping the
@@ -78,16 +68,6 @@ func (o Options) digest(dev *arch.Device) string {
 // device routingDevice resolved from o.
 func storeKey(spec string, mh *fermion.MajoranaHamiltonian, o Options, dev *arch.Device) store.Key {
 	return store.Key{Hamiltonian: mh.Fingerprint(), Spec: spec, Options: o.digest(dev)}
-}
-
-// storeLookup consults the attached store. The caller's context rides
-// along when the store supports it (ContextStore), so cancelling the
-// compile aborts an in-flight peer fetch too.
-func storeLookup(ctx context.Context, key store.Key, o Options) (*store.Entry, bool) {
-	if cs, hasCtx := o.Store.(ContextStore); hasCtx {
-		return cs.GetContext(ctx, key)
-	}
-	return o.Store.Get(key)
 }
 
 // cachedResult converts a stored entry back into a Result.
