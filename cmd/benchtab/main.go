@@ -19,7 +19,8 @@
 // Scale knobs: -max-modes, -shots, -grid, -fh-modes, -fh-budget, -max-n.
 // -perf runs a fixed suite and takes none of them: besides -perf it
 // accepts only -json, -cpuprofile and -memprofile, and exits 2 when any
-// other flag is set.
+// other flag is set. Only -perf reads -json, so any other run exits 2
+// when it is set.
 //
 // Mapping construction inside every table goes through the pkg/compiler
 // registry, so the columns stay in lockstep with what `hattc -list`
@@ -54,7 +55,7 @@ func main() {
 	routedDevices := flag.String("devices", strings.Join(bench.DefaultRoutedDevices, ","), "with -routed: comma-separated device specs")
 	routedMethods := flag.String("methods", strings.Join(bench.DefaultRoutedMethods, ","), "with -routed: comma-separated mapping methods")
 	perf := flag.Bool("perf", false, "run the hot-path kernel suite")
-	jsonPath := flag.String("json", "", "with -perf: also write the kernel report as JSON to this path (BENCH_*.json)")
+	jsonPath := flag.String("json", "", "with -perf: also write the kernel report as JSON to this path (BENCH_*.json); an error without -perf")
 	summary := flag.Bool("summary", false, "print the headline HATT-vs-baseline reductions across Tables I-III")
 	exact := flag.Bool("exact", false, "figure 10: use the density-matrix simulator (exact bias, no shots)")
 	list := flag.Bool("list", false, "list the compiler methods the tables draw from and exit")
@@ -73,6 +74,9 @@ func main() {
 				strings.Join(ignored, ", "))
 			os.Exit(2)
 		}
+	} else if unread := perfOnly(flag.CommandLine); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "benchtab: only -perf reads %s, so this run would ignore it\n", strings.Join(unread, ", "))
+		os.Exit(2)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -227,4 +231,16 @@ func ignoredByPerf(fs *flag.FlagSet) []string {
 		}
 	})
 	return ignored
+}
+
+// perfOnly returns the flags set on fs that only a -perf run reads, each
+// with its leading dash: any other run would ignore them.
+func perfOnly(fs *flag.FlagSet) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "json" {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }

@@ -146,7 +146,7 @@ func run() error {
 	case *device != "":
 		// Validate eagerly for a prompt CLI error; the spec itself is what
 		// flows into the options (and the store content address).
-		if _, err := arch.Lookup(*device); err != nil {
+		if err := arch.CheckSpec(*device); err != nil {
 			return err
 		}
 		opts = append(opts, compiler.WithDevice(*device))

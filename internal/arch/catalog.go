@@ -21,8 +21,8 @@ func Grid(r, c int) (*Device, error) {
 	if r <= 0 || c <= 0 {
 		return nil, fmt.Errorf("arch: grid needs positive dimensions, got %dx%d", r, c)
 	}
-	if r > maxGridDim || c > maxGridDim || r*c > MaxSpecQubits {
-		return nil, fmt.Errorf("arch: grid %dx%d too large (max %d qubits)", r, c, MaxSpecQubits)
+	if err := checkGridSize(r, c); err != nil {
+		return nil, err
 	}
 	var edges [][2]int
 	idx := func(i, j int) int { return i*c + j }
@@ -46,6 +46,14 @@ const (
 	MaxSpecQubits = 1 << 16
 	maxGridDim    = 1 << 12
 )
+
+// checkGridSize holds a grid of positive dimensions to the guardrails.
+func checkGridSize(r, c int) error {
+	if r > maxGridDim || c > maxGridDim || r*c > MaxSpecQubits {
+		return fmt.Errorf("arch: grid %dx%d too large (max %d qubits)", r, c, MaxSpecQubits)
+	}
+	return nil
+}
 
 // Info describes one catalog entry for listings (hattc -list-devices,
 // the service's /v1/devices).
@@ -93,14 +101,33 @@ func Normalize(spec string) string {
 // "sycamore", "montreal", "linear:<n>", or "grid:<r>x<c>"
 // (case-insensitive). Unknown or malformed specs are errors.
 func Lookup(spec string) (*Device, error) {
+	build, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return build()
+}
+
+// CheckSpec returns the error Lookup would return for spec, without
+// building the device.
+func CheckSpec(spec string) error {
+	_, err := parseSpec(spec)
+	return err
+}
+
+// fixedDevices are the catalog's fixed coupling graphs by spec.
+var fixedDevices = map[string]func() *Device{
+	"manhattan": Manhattan,
+	"sycamore":  Sycamore,
+	"montreal":  Montreal,
+}
+
+// parseSpec parses a catalog spec and holds it to the guardrails, and
+// returns the builder of its device, which then cannot fail.
+func parseSpec(spec string) (func() (*Device, error), error) {
 	s := Normalize(spec)
-	switch s {
-	case "manhattan":
-		return Manhattan(), nil
-	case "sycamore":
-		return Sycamore(), nil
-	case "montreal":
-		return Montreal(), nil
+	if fixed, ok := fixedDevices[s]; ok {
+		return func() (*Device, error) { return fixed(), nil }, nil
 	}
 	if arg, ok := strings.CutPrefix(s, "linear:"); ok {
 		n, err := strconv.Atoi(arg)
@@ -110,7 +137,7 @@ func Lookup(spec string) (*Device, error) {
 		if n > MaxSpecQubits {
 			return nil, fmt.Errorf("arch: linear:%d too large (max %d qubits)", n, MaxSpecQubits)
 		}
-		return Linear(n)
+		return func() (*Device, error) { return Linear(n) }, nil
 	}
 	if arg, ok := strings.CutPrefix(s, "grid:"); ok {
 		rs, cs, ok := strings.Cut(arg, "x")
@@ -122,7 +149,10 @@ func Lookup(spec string) (*Device, error) {
 		if err1 != nil || err2 != nil || r <= 0 || c <= 0 {
 			return nil, fmt.Errorf("arch: bad grid spec %q (want grid:<r>x<c>)", spec)
 		}
-		return Grid(r, c)
+		if err := checkGridSize(r, c); err != nil {
+			return nil, err
+		}
+		return func() (*Device, error) { return Grid(r, c) }, nil
 	}
 	return nil, fmt.Errorf("arch: unknown device %q (want manhattan | sycamore | montreal | linear:<n> | grid:<r>x<c>)", spec)
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,22 @@ func TestLookupRejectsBadSpecs(t *testing.T) {
 	} {
 		if _, err := Lookup(spec); err == nil {
 			t.Errorf("Lookup(%q) succeeded, want error", spec)
+		}
+	}
+}
+
+// TestCheckSpecMatchesLookup: CheckSpec accepts what Lookup resolves and
+// rejects what it rejects, with the same error text.
+func TestCheckSpecMatchesLookup(t *testing.T) {
+	for _, spec := range []string{
+		"manhattan", " Sycamore ", "MONTREAL", "linear:7", "grid:6x6", "grid:1x2",
+		"", "ibmq", "linear:", "linear:0", "linear:x", "linear:65537",
+		"grid:", "grid:3", "grid:0x4", "grid:ax2", "grid:5000x2", "grid:300x300",
+	} {
+		_, lookupErr := Lookup(spec)
+		checkErr := CheckSpec(spec)
+		if fmt.Sprint(checkErr) != fmt.Sprint(lookupErr) {
+			t.Errorf("CheckSpec(%q) = %v, Lookup error %v", spec, checkErr, lookupErr)
 		}
 	}
 }

@@ -102,8 +102,13 @@ func annealChain(ctx context.Context, seed *builder, opts Options) (*Result, err
 		stride = 1
 	}
 	for it := 0; it < opts.Iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		// ctx.Err takes the context's lock, so the chain checks it
+		// every 256 iterations; a cancelled chain still stops within
+		// milliseconds.
+		if it%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		if it%stride == 0 {
 			if opts.Progress != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/pauli"
@@ -20,15 +21,24 @@ import (
 // Mappings serialized this way can be stored alongside compiled circuits
 // and re-verified on load.
 func (m *Mapping) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# mapping %s modes=%d qubits=%d\n", m.Name, m.Modes, m.Qubits()); err != nil {
-		return err
-	}
+	q := m.Qubits()
+	b := make([]byte, 0, 64+len(m.Name)+len(m.Majoranas)*(q+16))
+	b = append(b, "# mapping "...)
+	b = append(b, m.Name...)
+	b = append(b, " modes="...)
+	b = strconv.AppendInt(b, int64(m.Modes), 10)
+	b = append(b, " qubits="...)
+	b = strconv.AppendInt(b, int64(q), 10)
+	b = append(b, '\n')
 	for j, s := range m.Majoranas {
-		if _, err := fmt.Fprintf(w, "M%d %s\n", j, s); err != nil {
-			return err
-		}
+		b = append(b, 'M')
+		b = strconv.AppendInt(b, int64(j), 10)
+		b = append(b, ' ')
+		b = s.AppendTo(b)
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // ReadText parses a mapping serialized by WriteText and verifies it.

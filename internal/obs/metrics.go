@@ -216,14 +216,6 @@ func bucketIndex(buckets []float64, v float64) int {
 	return len(buckets)
 }
 
-// Count reports how many samples one label combination has observed.
-func (h *Histogram) Count(labelValues ...string) uint64 {
-	ch := h.f.child(labelValues)
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.count
-}
-
 // WriteText renders the registry in the Prometheus text exposition
 // format (version 0.0.4): families sorted by name, children sorted by
 // label values, histograms expanded into _bucket/_sum/_count series.

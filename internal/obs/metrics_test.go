@@ -7,6 +7,45 @@ import (
 	"repro/internal/analysis/annotations"
 )
 
+// observedCount reports how many samples one label combination has
+// observed, without creating a child for a combination never observed.
+func observedCount(h *Histogram, labelValues ...string) uint64 {
+	key := appendLabelKey(nil, labelValues)
+	h.f.mu.Lock()
+	ch := h.f.children[string(key)]
+	h.f.mu.Unlock()
+	if ch == nil {
+		return 0
+	}
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.count
+}
+
+// TestObservedCountLeavesRegistryAlone: asking about a label combination
+// never observed reads 0 and adds nothing to the exposition.
+func TestObservedCountLeavesRegistryAlone(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("test_latency_seconds", "x", DefLatencyBuckets, "route")
+	h.Observe(0.01, "observed")
+	var before, after strings.Builder
+	if err := reg.WriteText(&before); err != nil {
+		t.Fatal(err)
+	}
+	if n := observedCount(h, "never-observed"); n != 0 {
+		t.Fatalf("observedCount = %d on a label set never observed, want 0", n)
+	}
+	if n := observedCount(h, "observed"); n != 1 {
+		t.Fatalf("observedCount = %d, want 1", n)
+	}
+	if err := reg.WriteText(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Fatalf("observedCount changed the exposition:\n%s\nwant:\n%s", after.String(), before.String())
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
 	reg.CounterFunc("test_requests_total", "requests", []string{"route"}, func() []Sample {
@@ -133,7 +172,7 @@ func TestObserveAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.01, "POST /v1/compile", "200") }); n != 0 {
 		t.Errorf("Observe allocates %.1f times per call on an existing child, want 0", n)
 	}
-	if got := h.Count("POST /v1/compile", "200"); got != 1002 {
+	if got := observedCount(h, "POST /v1/compile", "200"); got != 1002 {
 		t.Errorf("Count = %d, want 1002", got)
 	}
 }

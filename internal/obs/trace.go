@@ -80,12 +80,6 @@ func ParseTraceparent(h string) (SpanContext, bool) {
 	return sc, true
 }
 
-// Traceparent formats sc as a W3C traceparent header value with the
-// sampled flag set (this tracer records everything it is asked to).
-func Traceparent(sc SpanContext) string {
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
-}
-
 func isLowerHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]

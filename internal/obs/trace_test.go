@@ -8,10 +8,16 @@ import (
 	"time"
 )
 
+// traceparent formats sc as a W3C traceparent header value with the
+// sampled flag set: the form ParseTraceparent reads.
+func traceparent(sc SpanContext) string {
+	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
 	tr := NewTracer(8)
 	sc := SpanContext{TraceID: tr.nextTraceID(), SpanID: tr.nextSpanID()}
-	h := Traceparent(sc)
+	h := traceparent(sc)
 	got, ok := ParseTraceparent(h)
 	if !ok {
 		t.Fatalf("ParseTraceparent(%q) rejected its own output", h)
@@ -53,17 +59,17 @@ func FuzzTraceparent(f *testing.F) {
 			return
 		}
 		// Anything accepted must be valid and must round-trip through the
-		// canonical form (modulo the flags byte, which Traceparent pins to
+		// canonical form (modulo the flags byte, which traceparent pins to
 		// the sampled value).
 		if !sc.Valid() {
 			t.Fatalf("ParseTraceparent(%q) accepted an invalid context", h)
 		}
-		sc2, ok2 := ParseTraceparent(Traceparent(sc))
+		sc2, ok2 := ParseTraceparent(traceparent(sc))
 		if !ok2 || sc2 != sc {
 			t.Fatalf("canonical form of %q does not round-trip", h)
 		}
-		if Traceparent(sc)[:53] != h[:53] {
-			t.Fatalf("re-encoding %q changed the IDs: %q", h, Traceparent(sc))
+		if traceparent(sc)[:53] != h[:53] {
+			t.Fatalf("re-encoding %q changed the IDs: %q", h, traceparent(sc))
 		}
 	})
 }
@@ -203,7 +209,7 @@ func TestStageHistogramObservation(t *testing.T) {
 	sp.SetAttr("method", "hatt")
 	time.Sleep(time.Millisecond)
 	sp.End()
-	if n := h.Count("compile.search", "hatt"); n != 1 {
+	if n := observedCount(h, "compile.search", "hatt"); n != 1 {
 		t.Fatalf("stage histogram count = %d, want 1", n)
 	}
 }

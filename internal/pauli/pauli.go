@@ -19,6 +19,7 @@ package pauli
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -292,19 +293,29 @@ func (s String) Key() string {
 // matching the paper's convention, with a phase prefix when nontrivial.
 // The prefix reflects LetterPhase so that prefix·letters equals the value.
 func (s String) String() string {
-	var b strings.Builder
-	switch s.LetterPhase() {
-	case 1:
-		b.WriteString("i·")
-	case 2:
-		b.WriteString("-")
-	case 3:
-		b.WriteString("-i·")
+	var buf [64]byte // up to 60 qubits render without a second allocation
+	return string(s.AppendTo(buf[:0]))
+}
+
+// phasePrefixes is the String prefix for each LetterPhase.
+var phasePrefixes = [4]string{"", "i·", "-", "-i·"}
+
+// AppendTo appends the String form of s to b and returns the extended
+// buffer, growing it at most once.
+func (s String) AppendTo(b []byte) []byte {
+	prefix := phasePrefixes[s.LetterPhase()]
+	b = slices.Grow(b, len(prefix)+s.n)
+	b = append(b, prefix...)
+	// The letter of qubit q is "IXZY"[x_q | z_q<<1].
+	start := len(b)
+	b = b[:start+s.n]
+	out := b[start:]
+	for i := range out {
+		q := s.n - 1 - i
+		w, bit := q>>6, uint(q&63)
+		out[i] = "IXZY"[s.x[w]>>bit&1|s.z[w]>>bit&1<<1]
 	}
-	for q := s.n - 1; q >= 0; q-- {
-		b.WriteString(s.Letter(q).String())
-	}
-	return b.String()
+	return b
 }
 
 // Compact renders the string in compact form (identities omitted, each

@@ -413,7 +413,7 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 	case req.Device != "" && len(req.CustomDevice) > 0:
 		return nil, badRequest("device and custom_device are mutually exclusive")
 	case req.Device != "":
-		if _, err := arch.Lookup(req.Device); err != nil {
+		if err := arch.CheckSpec(req.Device); err != nil {
 			return nil, badRequest("%v", err)
 		}
 		req.devOpts = []compiler.Option{compiler.WithDevice(req.Device)}
@@ -449,8 +449,8 @@ func (a *API) majoranaForm(ctx context.Context, req *compileRequest) (*fermion.M
 	defer span.End()
 	if len(req.Hamiltonian) > 0 {
 		span.SetAttr("model", "custom")
-		h, err := fermion.ReadJSON(bytes.NewReader(req.Hamiltonian))
-		if err != nil {
+		h := new(fermion.Hamiltonian)
+		if err := h.UnmarshalJSON(req.Hamiltonian); err != nil {
 			return nil, badRequest("invalid hamiltonian: %v", err)
 		}
 		if h.Modes > a.maxModes {

@@ -295,6 +295,25 @@ func TestCustomHamiltonianRequest(t *testing.T) {
 	}
 }
 
+// TestInlineHamiltonianTyposRejected: a misspelt key or a coeff that is
+// not exactly two numbers is a 400, not a compile of a different
+// Hamiltonian (a zero coefficient, an annihilator for a creator, a lost
+// number).
+func TestInlineHamiltonianTyposRejected(t *testing.T) {
+	srv, _, _ := testServer(t, "")
+	for name, ham := range map[string]string{
+		"coef":        `{"modes":2,"terms":[{"coef":[1,0],"ops":[{"mode":0,"dagger":true},{"mode":1,"dagger":false}]}]}`,
+		"dager":       `{"modes":2,"terms":[{"coeff":[1,0],"ops":[{"mode":0,"dager":true},{"mode":1,"dagger":false}]}]}`,
+		"three coeff": `{"modes":2,"terms":[{"coeff":[1,0,7],"ops":[{"mode":0,"dagger":true},{"mode":1,"dagger":false}]}]}`,
+	} {
+		resp, body := postJSON(t, srv.URL+"/v1/compile", `{"method":"jw","hamiltonian":`+ham+`}`)
+		msg, _ := body["error"].(string)
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(msg, "invalid hamiltonian: ") {
+			t.Errorf("%s: status %d, body %v; want 400 invalid hamiltonian", name, resp.StatusCode, body)
+		}
+	}
+}
+
 // longTermBody is an inline Hamiltonian of under 1 KB whose one
 // 24-operator term expands into 2^24 Majorana monomials: seconds of work
 // and gigabytes of memory if the server expanded it.

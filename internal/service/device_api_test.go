@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis/annotations"
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/models"
@@ -233,5 +236,36 @@ func TestDevicesEndpoint(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("catalog listing missing %s (got %v)", want, seen)
 		}
+	}
+}
+
+// TestRoutedHitBuildsDeviceOnce gates the allocations of a routed sync
+// store hit on grid:6x6. Building that device takes about 95
+// allocations. The request validates the spec without building it and
+// the compile builds it once, for the store key: 318 allocations with Go
+// 1.24, against 413 when validation built the device too. The budget
+// sits between the two.
+func TestRoutedHitBuildsDeviceOnce(t *testing.T) {
+	if annotations.RaceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	st, err := store.Open(64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := New(Config{Workers: 1, QueueDepth: 1, Store: st})
+	t.Cleanup(func() { _ = mgr.Shutdown(context.Background()) })
+	h := NewAPI(mgr, st).Handler()
+	const body = `{"model":"h2","method":"hatt","device":"grid:6x6"}`
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("routed compile: %d %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // the miss that fills the store
+	if n := testing.AllocsPerRun(50, serve); n > 365 {
+		t.Fatalf("routed sync hit allocates %.0f/op, want ≤ 365", n)
 	}
 }
