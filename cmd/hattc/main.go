@@ -138,6 +138,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		opts = append(opts, compiler.WithStore(st))
 	}
 	switch {

@@ -108,6 +108,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer st.Close()
 
 	// The portfolio win/loss ledger lives beside the result store: disk
 	// tier configured → it survives restarts, memory-only otherwise.

@@ -3,60 +3,38 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
 )
 
-// TestDiskCrashRecovery drives the disk tier through the file states a
+// TestDiskCrashRecovery drives the disk tier through the log states a
 // crash (or torn write) can leave behind and asserts the self-healing
 // contract: the tier opens, the damaged entry degrades to a miss, a
-// corrupt file is quarantined out of the load path, and the next Put —
-// the "recompile" in service terms — restores a servable copy.
+// record that frames but does not decode is quarantined out of the load
+// path, and the next Put — the "recompile" in service terms — restores
+// a servable copy.
 func TestDiskCrashRecovery(t *testing.T) {
 	k := key("crashed")
 	for name, tc := range map[string]struct {
-		damage         func(t *testing.T, dir, entryFile string)
+		damage         func(good []byte) []byte // the log left behind, given the entry's payload
 		wantQuarantine bool
 	}{
 		"truncated entry": {
-			damage: func(t *testing.T, dir, entryFile string) {
-				raw, err := os.ReadFile(entryFile)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(entryFile, raw[:len(raw)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
+			damage:         func(good []byte) []byte { return record(k.id(), good[:len(good)/2]) },
 			wantQuarantine: true,
 		},
 		"zero-byte entry": {
-			damage: func(t *testing.T, dir, entryFile string) {
-				if err := os.WriteFile(entryFile, nil, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
+			damage:         func(good []byte) []byte { return record(k.id(), nil) },
 			wantQuarantine: true,
 		},
-		"half-renamed temp": {
-			// Crash between fsync and rename: the payload exists only
-			// under the temp name. That is a plain miss — no final file,
-			// nothing to quarantine — and the temp garbage is inert.
-			damage: func(t *testing.T, dir, entryFile string) {
-				raw, err := os.ReadFile(entryFile)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base := filepath.Base(entryFile)
-				tmp := filepath.Join(dir, strings.TrimSuffix(base, ".json")+".tmp-123456")
-				if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.Remove(entryFile); err != nil {
-					t.Fatal(err)
-				}
+		"half-written tail": {
+			// Crash mid-append: the log ends inside the record. That is
+			// a plain miss — nothing frames, nothing to quarantine — and
+			// the torn bytes are inert.
+			damage: func(good []byte) []byte {
+				rec := record(k.id(), good)
+				return rec[:len(rec)/2]
 			},
 			wantQuarantine: false,
 		},
@@ -68,11 +46,10 @@ func TestDiskCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Put(k, testEntry(t, 3))
-			files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("glob: %v, files=%v", err, files)
+			good := recordPayload(t, s, k)
+			if err := os.WriteFile(filepath.Join(dir, logName), tc.damage(good), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			tc.damage(t, dir, files[0])
 
 			// A fresh process with a cold memory tier must open and serve.
 			fresh, err := Open(8, dir)
@@ -87,14 +64,14 @@ func TestDiskCrashRecovery(t *testing.T) {
 				if st.DiskQuarantines != 1 {
 					t.Fatalf("stats = %+v, want 1 quarantine", st)
 				}
-				if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-					t.Fatalf("corrupt file still under its final name (err=%v)", err)
+				if _, ok, _ := fresh.lookup(k.id()); ok {
+					t.Fatal("quarantined record still indexed")
 				}
 				if q, _ := filepath.Glob(filepath.Join(dir, "*.quarantined")); len(q) != 1 {
 					t.Fatalf("quarantined copy missing, glob=%v", q)
 				}
 			} else if st.DiskQuarantines != 0 {
-				t.Fatalf("stats = %+v, want no quarantine for a missing file", st)
+				t.Fatalf("stats = %+v, want no quarantine for a record that never framed", st)
 			}
 
 			// "Recompile": the next Put heals the tier and the entry is

@@ -6,18 +6,23 @@
 // across goroutines, processes, and (with the disk tier) restarts.
 //
 // The store is two tiers. The memory tier is a bounded LRU map, always
-// on. The disk tier is optional: one JSON file per entry, written with
-// an atomic create-temp-fsync-rename so a crash can never leave a torn
-// file under the final name, and loaded tolerantly — an unreadable,
-// unparsable, mismatched, or algebra-violating file is treated as a miss
-// (counted in Stats.DiskErrors), never an error surfaced to the caller.
-// A file that exists but fails validation is additionally quarantined —
-// renamed aside so it stops being re-read on every miss — and the next
-// Put of that key rewrites a good copy, making the tier self-healing
-// under torn writes (Stats.DiskQuarantines counts these).
-// Mappings cross the disk boundary through the existing
-// mapping.WriteText/ReadText round-trip, so every load re-verifies the
-// anticommutation algebra before the entry is trusted.
+// on. The disk tier is optional: one append-only log per directory, in
+// which each entry is one CRC-framed record written with a single
+// O_APPEND write and made durable by fdatasync before Put returns, and
+// an in-memory index rebuilt by one sequential scan at Open. Processes
+// sharing a directory see each other's entries: an index miss first
+// indexes what the log grew by. Loads are tolerant — a damaged region of
+// the log is skipped up to the next valid record, and a record that
+// frames but fails validation (unparsable, mismatched, or
+// algebra-violating) is treated as a miss (counted in Stats.DiskErrors),
+// never an error surfaced to the caller. Such a record is also
+// quarantined — dropped from the index and copied aside — so it is not
+// re-read on every miss, and the next Put of that key appends a good
+// copy, making the tier self-healing under torn writes
+// (Stats.DiskQuarantines counts these). Mappings cross the disk boundary
+// through the existing mapping.WriteText/ReadText round-trip, so every
+// load re-verifies the anticommutation algebra before the entry is
+// trusted.
 //
 // Get returns a deep copy and Put stores one: callers may freely mutate
 // what they get back without corrupting the cache.
@@ -54,8 +59,8 @@ type Key struct {
 	Options     string // canonical options digest
 }
 
-// id flattens the key into the hex SHA-256 used as the map key and disk
-// file name. Fields are length-prefixed so distinct keys can never
+// id flattens the key into the hex SHA-256 used as the map key and as
+// the record id in the disk log. Fields are length-prefixed so distinct keys can never
 // serialize identically.
 func (k Key) id() string {
 	h := sha256.New()
@@ -125,9 +130,9 @@ type Stats struct {
 	Entries         int   `json:"entries"`          // current memory-tier size
 	Capacity        int   `json:"capacity"`         // memory-tier bound
 	DiskHits        int64 `json:"disk_hits"`        // Gets promoted from the disk tier
-	DiskWrites      int64 `json:"disk_writes"`      // entries persisted
-	DiskErrors      int64 `json:"disk_errors"`      // unreadable/corrupt/mismatched files skipped
-	DiskQuarantines int64 `json:"disk_quarantines"` // corrupt files renamed aside for later rewrite
+	DiskWrites      int64 `json:"disk_writes"`      // records appended to the disk log
+	DiskErrors      int64 `json:"disk_errors"`      // failed disk operations, damaged log regions and records that failed validation
+	DiskQuarantines int64 `json:"disk_quarantines"` // invalid records dropped from the index and copied aside
 }
 
 // Store is the two-tier content-addressed store. Safe for concurrent
@@ -138,6 +143,14 @@ type Store struct {
 	mu  sync.Mutex
 	cap int
 	mem *lru.Cache[string, *Entry]
+
+	// The disk tier, when dir is set: the log, opened O_APPEND, and the
+	// index from each id's first 64 bits to its latest record.
+	log   *os.File
+	logMu sync.Mutex // guards index, end and seen; held across an append's write, never its sync
+	index map[uint64]span
+	end   int64 // log offset up to which records are indexed
+	seen  int64 // log size at the last scan
 
 	hits, misses, puts, evictions atomic.Int64
 	diskHits, diskWrites, diskErr atomic.Int64
@@ -151,22 +164,33 @@ const DefaultCapacity = 1024
 
 // Open creates a store with the given memory-tier capacity (≤ 0 means
 // DefaultCapacity). A non-empty dir enables the disk tier rooted there,
-// created if missing; entries already on disk from a previous process
-// are served on demand — there is no startup scan to pay.
+// created if missing: Open indexes the directory's log with one
+// sequential scan, and imports once the per-entry files (<id>.json)
+// that earlier builds wrote there.
 func Open(capacity int, dir string) (*Store, error) {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	return &Store{
+	s := &Store{
 		dir: dir,
 		cap: capacity,
 		mem: lru.New[string, *Entry](capacity),
-	}, nil
+	}
+	if dir != "" {
+		if err := s.openLog(); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// Close closes the disk tier's log; the store must not be used after.
+// A memory-only store has nothing to close.
+func (s *Store) Close() error {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Close()
 }
 
 // Get returns a deep copy of the entry stored under key, consulting the
@@ -246,10 +270,10 @@ func (s *Store) DiskHealthy() bool {
 	return s.dir == "" || !s.diskDown.Load()
 }
 
-// diskEntry is the on-disk JSON shape. The key fields are stored
-// alongside the payload so a load can confirm the file really holds the
-// requested content (a renamed or hash-colliding file degrades to a
-// miss, not a wrong answer).
+// diskEntry is the JSON shape of a record's payload. The key fields are
+// stored alongside the mapping so a load can confirm the record really
+// holds the requested content (a misplaced or hash-colliding record
+// degrades to a miss, not a wrong answer).
 type diskEntry struct {
 	Hamiltonian     string `json:"hamiltonian"`
 	Spec            string `json:"spec"`
@@ -260,8 +284,6 @@ type diskEntry struct {
 	Visited         int64  `json:"visited,omitempty"`
 	Mapping         string `json:"mapping"` // mapping.WriteText serialization
 }
-
-func (s *Store) path(id string) string { return filepath.Join(s.dir, id+".json") }
 
 // encodeEntry marshals one entry into the disk JSON shape.
 func encodeEntry(key Key, e *Entry) ([]byte, error) {
@@ -306,58 +328,81 @@ func decodeEntry(raw []byte, key Key) (*Entry, error) {
 }
 
 // loadDisk reads, validates, and parses the disk entry for id. Every
-// failure mode — missing file, bad JSON, key mismatch, mapping that
-// fails to parse or verify — is a tolerated miss, and a file that is
-// present but invalid is quarantined so the next Put heals it.
+// failure mode — no record, a read error, a record that no longer
+// frames, bad JSON, key mismatch, a mapping that fails to parse or
+// verify — is a tolerated miss, and a record that is present but
+// invalid is quarantined so the next Put heals it.
 func (s *Store) loadDisk(id string, key Key) (*Entry, bool) {
-	if s.dir == "" {
+	if s.log == nil {
 		return nil, false
 	}
-	raw, err := os.ReadFile(s.path(id))
-	if err == nil {
-		if ferr := fault.Point("store.disk.read"); ferr != nil {
-			err = ferr
+	sp, ok, err := s.lookup(id)
+	if ok {
+		var rec []byte
+		if rec, err = s.readRecord(sp); err == nil {
+			if ferr := fault.Point("store.disk.read"); ferr != nil {
+				err = ferr
+			}
+		}
+		if err == nil {
+			return s.decodeRecord(id, key, sp, rec)
 		}
 	}
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.diskErr.Add(1)
-		}
-		return nil, false
-	}
-	raw = fault.Mutate("store.disk.read", raw) // short read
-	e, err := decodeEntry(raw, key)
 	if err != nil {
 		s.diskErr.Add(1)
-		s.quarantine(id)
+	}
+	return nil, false
+}
+
+// decodeRecord validates the record read back for id and decodes its
+// entry, quarantining it when it fails.
+func (s *Store) decodeRecord(id string, key Key, sp span, rec []byte) (*Entry, bool) {
+	rid, payload, ok := parseRecord(rec)
+	if !ok {
+		s.diskErr.Add(1)
+		s.quarantine(id, sp, rec)
+		return nil, false
+	}
+	if string(rid) != id {
+		return nil, false // another id with the same first 64 bits
+	}
+	payload = fault.Mutate("store.disk.read", payload) // short read
+	e, err := decodeEntry(payload, key)
+	if err != nil {
+		s.diskErr.Add(1)
+		s.quarantine(id, sp, payload)
 		return nil, false
 	}
 	return e, true
 }
 
-// quarantine moves a corrupt entry file out of the load path. The
-// content is kept under a .quarantined suffix for postmortems instead
-// of deleted, and the final name is freed so the next Put of this key
-// rewrites a verified copy. If even the rename fails the file is
-// removed outright — a corrupt file must not be re-validated on every
-// subsequent miss.
-func (s *Store) quarantine(id string) {
-	path := s.path(id)
-	if err := os.Rename(path, path+".quarantined"); err != nil && !os.IsNotExist(err) {
-		os.Remove(path)
+// quarantine takes a record that failed validation out of the load
+// path: it is dropped from the index, so it is not re-validated on
+// every miss and the next Put of this key appends a verified copy, and
+// its bytes are kept as <id>.quarantined for postmortems. The log
+// itself is never rewritten.
+func (s *Store) quarantine(id string, sp span, raw []byte) {
+	p := prefix(id)
+	s.logMu.Lock()
+	if s.index[p] == sp {
+		delete(s.index, p)
+	}
+	s.logMu.Unlock()
+	path := filepath.Join(s.dir, id+".quarantined")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		s.diskErr.Add(1)
 	}
 	s.diskQuarantines.Add(1)
 	slog.Warn("store entry quarantined", "path", path)
 }
 
-// writeDisk persists an entry with create-temp-fsync-rename atomicity:
-// the payload is durable before the final name exists, so a crash
-// between the two leaves at worst an ignorable temp file. Failures are
-// recorded in DiskErrors (and flip DiskHealthy off until a write
-// succeeds again) but otherwise swallowed: the disk tier is an
+// writeDisk appends an entry's record to the log and returns once it is
+// durable, unless the log already holds the same bytes for the id.
+// Failures are recorded in DiskErrors (and flip DiskHealthy off until a
+// write succeeds again) but otherwise swallowed: the disk tier is an
 // accelerator, never a correctness dependency.
 func (s *Store) writeDisk(id string, key Key, e *Entry) {
-	if s.dir == "" {
+	if s.log == nil {
 		return
 	}
 	if ferr := fault.Point("store.disk.write"); ferr != nil { // e.g. ENOSPC
@@ -370,26 +415,10 @@ func (s *Store) writeDisk(id string, key Key, e *Entry) {
 		return
 	}
 	raw = fault.Mutate("store.disk.write", raw) // torn write: only a prefix lands
-	tmp, err := os.CreateTemp(s.dir, id+".tmp-*")
-	if err != nil {
-		s.diskFail()
+	if s.holds(id, raw) {
 		return
 	}
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.diskFail()
-		return
-	}
-	if ferr := fault.Point("store.disk.rename"); ferr != nil {
-		os.Remove(tmp.Name())
-		s.diskFail()
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.appendRecord(id, raw); err != nil {
 		s.diskFail()
 		return
 	}

@@ -2,8 +2,6 @@ package store
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/mapping"
@@ -136,7 +134,7 @@ func TestDiskTierSurvivesReopen(t *testing.T) {
 }
 
 // TestRoutedSummaryMemoryOnly: the routed summary is deep-copied in
-// and out of the memory tier, and the disk file does not carry it, so
+// and out of the memory tier, and the disk record does not carry it, so
 // its bytes are those of an entry without one.
 func TestRoutedSummaryMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
@@ -163,12 +161,9 @@ func TestRoutedSummaryMemoryOnly(t *testing.T) {
 		t.Fatal("Get aliases the stored summary")
 	}
 
-	raw, err := os.ReadFile(s1.path(k.id()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := recordPayload(t, s1, k)
 	if string(raw) != string(plain) {
-		t.Errorf("disk file differs from an entry without a summary:\n%s\n%s", raw, plain)
+		t.Errorf("disk record differs from an entry without a summary:\n%s\n%s", raw, plain)
 	}
 	if decoded, err := decodeEntry(raw, k); err != nil || decoded.Routed != nil {
 		t.Errorf("decoded disk entry: routed=%+v err=%v, want no summary", decoded.Routed, err)
@@ -191,10 +186,8 @@ func TestDiskCorruptionTolerated(t *testing.T) {
 	}
 	k := key("corrupt")
 	s.Put(k, testEntry(t, 3))
-
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("glob: %v, files=%v", err, files)
+	if st := s.Stats(); st.DiskWrites != 1 {
+		t.Fatalf("stats = %+v, want 1 disk write", st)
 	}
 
 	for name, content := range map[string]string{
@@ -204,9 +197,8 @@ func TestDiskCorruptionTolerated(t *testing.T) {
 		"empty file":       "",
 		"mapping not text": `{"hamiltonian":"corrupt","spec":"hatt","options":"o","method":"jw","mapping":"garbage"}`,
 	} {
-		if err := os.WriteFile(files[0], []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		// A later record for the key replaces the good one.
+		appendRaw(t, dir, record(k.id(), []byte(content)))
 		fresh, err := Open(8, dir) // cold memory tier, forced disk read
 		if err != nil {
 			t.Fatal(err)
@@ -220,21 +212,26 @@ func TestDiskCorruptionTolerated(t *testing.T) {
 	}
 }
 
-func TestDiskFilesAreAtomicallyNamed(t *testing.T) {
+// TestDiskLeavesNoStrayFiles: Puts append to the one log; nothing else
+// appears in the directory, and no per-entry file is written.
+func TestDiskLeavesNoStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put(key("x"), testEntry(t, 2))
+	s.Put(key("y"), testEntry(t, 3))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range entries {
-		if strings.Contains(de.Name(), ".tmp-") {
-			t.Fatalf("temp file %s left behind", de.Name())
+	if len(entries) != 1 || entries[0].Name() != logName {
+		names := make([]string, len(entries))
+		for i, de := range entries {
+			names[i] = de.Name()
 		}
+		t.Fatalf("directory holds %v, want only %s", names, logName)
 	}
 }
 
