@@ -31,10 +31,10 @@ type LedgerCell struct {
 // scheduling only, never the race's deterministic winner, so ledger
 // state is deliberately excluded from the compile content address.
 //
-// With a path the ledger persists itself after every Record using the
-// same atomic write discipline as the store's disk tier (temp file,
-// fsync, rename) and tolerates a corrupt file on open by quarantining
-// it and starting fresh. With an empty path it is memory-only.
+// With a path the ledger persists itself after every Record with an
+// atomic write (temp file, fsync, rename) and tolerates a corrupt file
+// on open by quarantining it and starting fresh. With an empty path it
+// is memory-only.
 type Ledger struct {
 	mu        sync.Mutex
 	path      string
@@ -43,6 +43,13 @@ type Ledger struct {
 	rows      map[string]map[string]*LedgerCell
 	saveFails int64
 	failing   bool
+
+	// wmu serializes file writes, which run outside mu so that Rank and
+	// Snapshot never wait for the disk. written is the play count of the
+	// newest state on disk: a snapshot older than it is dropped, never
+	// written over it.
+	wmu     sync.Mutex
+	written int64
 }
 
 // ledgerFile is the on-disk JSON shape.
@@ -111,13 +118,21 @@ func OpenLedger(path string, epsilon float64) (*Ledger, error) {
 // behavior (tracked in Snapshot) without failing the race.
 func (l *Ledger) Record(shape, winner string, losers []string) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.plays++
 	l.cell(shape, winner).Wins++
 	for _, m := range losers {
 		l.cell(shape, m).Losses++
 	}
-	l.persistLocked()
+	gen := l.plays
+	var raw []byte
+	var err error
+	if l.path != "" {
+		raw, err = json.Marshal(ledgerFile{Version: 1, Plays: l.plays, Shapes: l.rows})
+	}
+	l.mu.Unlock()
+	if l.path != "" {
+		l.persist(gen, raw, err)
+	}
 }
 
 func (l *Ledger) cell(shape, m string) *LedgerCell {
@@ -179,18 +194,21 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// persistLocked writes the ledger file atomically (temp, fsync,
-// rename). Callers hold l.mu. Failures flip the ledger into a failing
-// state logged once per transition, mirroring the store disk tier.
-func (l *Ledger) persistLocked() {
-	if l.path == "" {
+// persist writes raw, the snapshot taken at play count gen, unless a
+// newer snapshot is already on disk. Failures flip the ledger into a
+// failing state logged once per transition, mirroring the store disk
+// tier.
+func (l *Ledger) persist(gen int64, raw []byte, err error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if gen <= l.written {
 		return
 	}
-	f := ledgerFile{Version: 1, Plays: l.plays, Shapes: l.rows}
-	raw, err := json.Marshal(f)
 	if err == nil {
 		err = writeLedgerFile(l.path, raw)
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err != nil {
 		l.saveFails++
 		if !l.failing {
@@ -199,13 +217,16 @@ func (l *Ledger) persistLocked() {
 		}
 		return
 	}
+	l.written = gen
 	if l.failing {
 		l.failing = false
 		slog.Info("ledger persistence recovered", "path", l.path)
 	}
 }
 
-func writeLedgerFile(path string, raw []byte) error {
+// writeLedgerFile replaces the ledger file atomically: temp file, fsync,
+// rename. It is a variable so that tests can hold a write open.
+var writeLedgerFile = func(path string, raw []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err

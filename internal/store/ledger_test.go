@@ -3,7 +3,9 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestLedgerRecordAndSnapshot(t *testing.T) {
@@ -218,5 +220,89 @@ func TestLedgerPersistenceFailureDegrades(t *testing.T) {
 	}
 	if snap.Persisted || snap.SaveFailures == 0 {
 		t.Fatalf("failing disk not surfaced: %+v", snap)
+	}
+}
+
+// TestRankDoesNotWaitForLedgerWrite: a Record's file write runs outside
+// the ledger's lock, so Rank and Snapshot answer while it is held open.
+func TestRankDoesNotWaitForLedgerWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	l, err := OpenLedger(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := writeLedgerFile
+	defer func() { writeLedgerFile = write }()
+	entered, release := make(chan struct{}), make(chan struct{})
+	writeLedgerFile = func(path string, raw []byte) error {
+		close(entered)
+		<-release
+		return write(path, raw)
+	}
+	recorded := make(chan struct{})
+	go func() {
+		l.Record("m8.t10", "hatt", []string{"anneal"})
+		close(recorded)
+	}()
+	<-entered
+
+	ranked := make(chan []string)
+	go func() { ranked <- l.Rank("m8.t10", []string{"anneal", "hatt"}) }()
+	select {
+	case got := <-ranked:
+		if got[0] != "hatt" {
+			t.Errorf("Rank = %v, want the recorded winner first", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Rank waited for the ledger's file write")
+	}
+	if snap := l.Snapshot(); snap.Plays != 1 {
+		t.Errorf("plays = %d during the write, want 1", snap.Plays)
+	}
+	close(release)
+	<-recorded
+
+	re, err := OpenLedger(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := re.Snapshot(); snap.Plays != 1 {
+		t.Fatalf("reopened plays = %d, want 1", snap.Plays)
+	}
+}
+
+// TestConcurrentRecordsPersistLatest: whatever order concurrent Records
+// reach the disk in, the file ends up holding the newest state.
+func TestConcurrentRecordsPersistLatest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	l, err := OpenLedger(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 8, 10
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Record("m8.t10", "hatt", []string{"anneal"})
+			}
+		}()
+	}
+	wg.Wait()
+
+	re, err := OpenLedger(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := re.Snapshot()
+	if snap.Plays != workers*each || len(snap.Shapes) != 1 {
+		t.Fatalf("reopened snapshot = %+v, want %d plays", snap, workers*each)
+	}
+	for _, m := range snap.Shapes[0].Methods {
+		if m.Wins+m.Losses != workers*each {
+			t.Errorf("reopened %s = %d/%d, want %d plays", m.Method, m.Wins, m.Losses, workers*each)
+		}
 	}
 }
