@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -158,14 +159,10 @@ func (s *Store) importLegacy() {
 		s.diskFail()
 		return
 	}
-	type imported struct {
-		id string
-		sp span
-	}
-	var done []imported
+	done := make(map[uint64]span)
 	for _, de := range ents {
 		id, ok := strings.CutSuffix(de.Name(), ".json")
-		if !ok || !isID(id) {
+		if _, err := hex.DecodeString(id); !ok || len(id) != idLen || err != nil {
 			continue
 		}
 		if _, ok := s.index[prefix(id)]; ok {
@@ -181,7 +178,7 @@ func (s *Store) importLegacy() {
 			s.diskFail()
 			return
 		}
-		done = append(done, imported{id, sp})
+		done[prefix(id)] = sp
 	}
 	if len(done) == 0 {
 		return
@@ -190,22 +187,10 @@ func (s *Store) importLegacy() {
 		s.diskFail()
 		return
 	}
-	for _, im := range done {
-		s.place(prefix(im.id), im.sp)
+	for p, sp := range done {
+		s.place(p, sp)
 	}
 	slog.Info("store imported per-entry files", "dir", s.dir, "entries", len(done))
-}
-
-func isID(id string) bool {
-	if len(id) != idLen {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // place indexes a record; of two records for one id the later wins.

@@ -161,7 +161,10 @@ func TestTornTailLosesNoLaterRecord(t *testing.T) {
 }
 
 // TestBitFlippedRecordSkipped: a record whose bytes changed on disk
-// fails its CRC and is skipped, and its neighbours still serve.
+// fails its CRC and is never served — skipped by a scan, quarantined
+// when read back through an index built before the change — and its
+// neighbours still serve. The flip turns the stored weight 7 into 3,
+// which would still decode.
 func TestBitFlippedRecordSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(8, dir)
@@ -172,15 +175,23 @@ func TestBitFlippedRecordSkipped(t *testing.T) {
 	for _, h := range []string{"a", "b", "c"} {
 		s.Put(key(h), e)
 	}
+	early, err := Open(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, logName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x04 // inside b's payload
+	b := bytes.Index(raw, []byte(key("b").id()))
+	weight := []byte(`"predicted_weight":7`)
+	i := b + bytes.Index(raw[b:], weight) + len(weight) - 1
+	raw[i] ^= '7' ^ '3'
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	fresh, err := Open(8, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +203,12 @@ func TestBitFlippedRecordSkipped(t *testing.T) {
 	}
 	if st := fresh.Stats(); st.DiskErrors != 1 || st.DiskQuarantines != 0 {
 		t.Fatalf("stats = %+v, want 1 damaged region and no quarantine", st)
+	}
+	if got, ok := early.Get(key("b")); ok {
+		t.Fatalf("flipped record served with weight %d", got.PredictedWeight)
+	}
+	if st := early.Stats(); st.DiskQuarantines != 1 {
+		t.Fatalf("stats = %+v, want the flipped record quarantined on read", st)
 	}
 }
 

@@ -60,8 +60,8 @@ type Key struct {
 }
 
 // id flattens the key into the hex SHA-256 used as the map key and as
-// the record id in the disk log. Fields are length-prefixed so distinct keys can never
-// serialize identically.
+// the record id in the disk log. Fields are length-prefixed so distinct
+// keys can never serialize identically.
 func (k Key) id() string {
 	h := sha256.New()
 	var buf [8]byte
