@@ -204,17 +204,18 @@ func (s *Store) place(p uint64, sp span) {
 // lookup returns the span of id's latest record. On an index miss it
 // first indexes what other processes appended since the last scan; when
 // nothing was, that costs one fstat.
-func (s *Store) lookup(id string) (span, bool, error) {
+func (s *Store) lookup(id string) (span, bool) {
 	p := prefix(id)
 	s.logMu.Lock()
 	sp, ok := s.index[p]
 	s.logMu.Unlock()
 	if ok {
-		return sp, true, nil
+		return sp, true
 	}
 	fi, err := s.log.Stat()
 	if err != nil {
-		return span{}, false, err
+		s.diskErr.Add(1)
+		return span{}, false
 	}
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
@@ -223,7 +224,7 @@ func (s *Store) lookup(id string) (span, bool, error) {
 		s.seen = size
 	}
 	sp, ok = s.index[p]
-	return sp, ok, nil
+	return sp, ok
 }
 
 // readRecord reads the whole record at sp.

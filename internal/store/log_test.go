@@ -30,9 +30,9 @@ func appendRaw(t *testing.T, dir string, b []byte) {
 // recordPayload returns the payload of the record s indexes for k.
 func recordPayload(t *testing.T, s *Store, k Key) []byte {
 	t.Helper()
-	sp, ok, err := s.lookup(k.id())
-	if err != nil || !ok {
-		t.Fatalf("no record for %+v (err=%v)", k, err)
+	sp, ok := s.lookup(k.id())
+	if !ok {
+		t.Fatalf("no record for %+v", k)
 	}
 	rec, err := s.readRecord(sp)
 	if err != nil {

@@ -64,7 +64,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 				if st.DiskQuarantines != 1 {
 					t.Fatalf("stats = %+v, want 1 quarantine", st)
 				}
-				if _, ok, _ := fresh.lookup(k.id()); ok {
+				if _, ok := fresh.lookup(k.id()); ok {
 					t.Fatal("quarantined record still indexed")
 				}
 				if q, _ := filepath.Glob(filepath.Join(dir, "*.quarantined")); len(q) != 1 {

@@ -184,8 +184,9 @@ func Open(capacity int, dir string) (*Store, error) {
 	return s, nil
 }
 
-// Close closes the disk tier's log; the store must not be used after.
-// A memory-only store has nothing to close.
+// Close closes the disk tier's log. After it the memory tier still
+// serves, and every disk operation fails and counts in DiskErrors. A
+// memory-only store has nothing to close.
 func (s *Store) Close() error {
 	if s.log == nil {
 		return nil
@@ -336,22 +337,21 @@ func (s *Store) loadDisk(id string, key Key) (*Entry, bool) {
 	if s.log == nil {
 		return nil, false
 	}
-	sp, ok, err := s.lookup(id)
-	if ok {
-		var rec []byte
-		if rec, err = s.readRecord(sp); err == nil {
-			if ferr := fault.Point("store.disk.read"); ferr != nil {
-				err = ferr
-			}
-		}
-		if err == nil {
-			return s.decodeRecord(id, key, sp, rec)
+	sp, ok := s.lookup(id)
+	if !ok {
+		return nil, false
+	}
+	rec, err := s.readRecord(sp)
+	if err == nil {
+		if ferr := fault.Point("store.disk.read"); ferr != nil {
+			err = ferr
 		}
 	}
 	if err != nil {
 		s.diskErr.Add(1)
+		return nil, false
 	}
-	return nil, false
+	return s.decodeRecord(id, key, sp, rec)
 }
 
 // decodeRecord validates the record read back for id and decodes its
