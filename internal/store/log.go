@@ -33,8 +33,8 @@ const logName = "store.log"
 const (
 	recordMagic = "\xffHAT"
 	headerLen   = 16
-	idLen       = 2 * 32 // hex SHA-256
-	maxPayload  = 1 << 28
+	idLen       = 2 * 32  // hex SHA-256
+	maxPayload  = 1 << 28 // a longer length field is damage, not a record
 	scanChunk   = 1 << 20 // a scan reads the log this many bytes at a time
 )
 
