@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fermion"
 	"repro/internal/mapping"
+	"repro/internal/models"
 	"repro/pkg/compiler"
 )
 
@@ -43,6 +44,18 @@ func (b *blockingMethod) Compile(ctx context.Context, mh *fermion.MajoranaHamilt
 }
 
 var blockSeq int
+
+// named returns req with the Hamiltonian of the model it names built in
+// Majorana form, as the HTTP layer builds it before it submits.
+func named(t testing.TB, req Request) Request {
+	t.Helper()
+	h, err := models.Resolve(req.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Hamiltonian = h.Majorana(1e-12)
+	return req
+}
 
 // newBlocking registers a fresh blocking method (names are global and
 // single-registration, so each call mints a new one).

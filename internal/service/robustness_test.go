@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/store"
@@ -177,5 +178,31 @@ func TestWorkerPanicFailsJobOnly(t *testing.T) {
 	}
 	if st, err := mgr.Wait(context.Background(), next.ID); err != nil || st.State != StateDone {
 		t.Fatalf("worker did not survive the panic: %+v err=%v", st, err)
+	}
+}
+
+// TestStalledWorkerMeetsJobDeadline arms service.queue.stall with an
+// hour of latency under a 50 ms MaxJobTime: the job's deadline covers
+// the stall, so the job fails on it within a second and Shutdown does
+// not wait out the hour.
+func TestStalledWorkerMeetsJobDeadline(t *testing.T) {
+	if err := fault.Arm("seed=1;service.queue.stall=latency:1h*1"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disarm)
+	mgr := New(Config{Workers: 1, QueueDepth: 4, MaxJobTime: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+
+	stalled, _, err := mgr.Submit(named(t, Request{Model: "h2"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mgr.Wait(ctx, stalled.ID)
+	if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("stalled job: %+v err=%v, want failed on its deadline within a second", st, err)
+	}
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown after the stall: %v", err)
 	}
 }

@@ -3,10 +3,16 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mapping"
@@ -398,4 +404,336 @@ func BenchmarkOpen(b *testing.B) {
 			b.ReportMetric(float64(size)/float64(n), "log-B/entry")
 		})
 	}
+}
+
+// scanStore returns a store over the log at path with an empty index,
+// for driving scanLocked directly.
+func scanStore(t *testing.T, path string) *Store {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return &Store{dir: filepath.Dir(path), log: f, index: map[uint64]span{}}
+}
+
+// TestScanLeavesCutTailOpen cuts the log's last record after k bytes,
+// for every k short of the end of its id. An open scan resumes at the
+// cut record, which the next scan indexes once it is whole; a closed
+// scan counts it as one damaged region.
+func TestScanLeavesCutTailOpen(t *testing.T) {
+	first := record(key("first").id(), []byte(`{"whole":true}`))
+	last := record(key("last").id(), []byte(`{"whole":false}`))
+	path := filepath.Join(t.TempDir(), logName)
+	for k := 1; k < headerLen+idLen; k++ {
+		log := append(append([]byte(nil), first...), last[:k]...)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, open := range []bool{true, false} {
+			s := scanStore(t, path)
+			resume := s.scanLocked(0, int64(len(log)), open)
+			wantResume, wantErrs := int64(len(first)), int64(0)
+			if !open {
+				wantResume, wantErrs = int64(len(log)), 1
+			}
+			if resume != wantResume || s.diskErr.Load() != wantErrs || len(s.index) != 1 {
+				t.Fatalf("k=%d open=%v: resume=%d errors=%d indexed=%d, want %d, %d and 1",
+					k, open, resume, s.diskErr.Load(), len(s.index), wantResume, wantErrs)
+			}
+		}
+		appendRaw(t, filepath.Dir(path), last[k:])
+		s := scanStore(t, path)
+		s.scanLocked(s.scanLocked(0, int64(len(log)), true), int64(len(first)+len(last)), true)
+		if sp, ok := s.index[prefix(key("last").id())]; !ok || sp.off != int64(len(first)) || s.diskErr.Load() != 0 {
+			t.Fatalf("k=%d: completed record at %+v (indexed %v), errors=%d", k, sp, ok, s.diskErr.Load())
+		}
+	}
+}
+
+// TestScanMatchesReference holds scanLocked to refScan on random logs:
+// records of random sizes, a few longer than the scan's buffer, with
+// ids drawn from a small pool so that later records replace earlier
+// ones; garbage with stray 0xff bytes, magic prefixes and headers that
+// frame nothing; flipped bits; torn records; a cut tail; and a log that
+// ends before the scan's end. Each log is scanned open and closed, in
+// one pass and as a scan that stops partway and resumes, and the resume
+// offsets, the index and the damage count must match.
+func TestScanMatchesReference(t *testing.T) {
+	n := 2000
+	if testing.Short() {
+		n = 200
+	}
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]string, 6)
+	for i := range ids {
+		ids[i] = key(fmt.Sprint("pool", i)).id()
+	}
+	noise := make([]byte, scanChunk+4096)
+	rng.Read(noise)
+	path := filepath.Join(t.TempDir(), logName)
+	for iter := 0; iter < n; iter++ {
+		log := randomLog(rng, ids, noise)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		to := int64(len(log))
+		if rng.Intn(8) == 0 {
+			to += 1 + rng.Int63n(64) // the log ends before the scan does
+		}
+		mid := rng.Int63n(to + 1)
+		for _, open := range []bool{true, false} {
+			s := scanStore(t, path)
+			resume := []int64{s.scanLocked(0, to, open)}
+			refIndex := map[uint64]span{}
+			refResume, refErrs := refScan(s.log, refIndex, 0, to, open)
+			want := []int64{refResume}
+
+			// The same log, scanned open up to mid and resumed.
+			s2 := scanStore(t, path)
+			r := s2.scanLocked(0, mid, true)
+			resume = append(resume, r, s2.scanLocked(r, to, open))
+			refIndex2 := map[uint64]span{}
+			rr, e1 := refScan(s.log, refIndex2, 0, mid, true)
+			rr2, e2 := refScan(s.log, refIndex2, rr, to, open)
+			want = append(want, rr, rr2)
+
+			if !slices.Equal(resume, want) || s.diskErr.Load() != refErrs || s2.diskErr.Load() != e1+e2 ||
+				!maps.Equal(s.index, refIndex) || !maps.Equal(s2.index, refIndex2) {
+				t.Fatalf("log %d (%d bytes, to=%d, mid=%d, open=%v): resume %v errors %d+%d indexed %d+%d; reference %v, %d+%d, %d+%d",
+					iter, len(log), to, mid, open, resume, s.diskErr.Load(), s2.diskErr.Load(), len(s.index), len(s2.index),
+					want, refErrs, e1+e2, len(refIndex), len(refIndex2))
+			}
+		}
+	}
+}
+
+// randomLog builds one log for TestScanMatchesReference. Payloads are
+// cut from noise, which holds every byte value.
+func randomLog(rng *rand.Rand, ids []string, noise []byte) []byte {
+	payload := func() []byte {
+		n := rng.Intn(300)
+		if rng.Intn(40) == 0 {
+			n = scanChunk - headerLen - idLen + rng.Intn(4096) // about the buffer's size
+		}
+		i := rng.Intn(len(noise) - n + 1)
+		return noise[i : i+n]
+	}
+	var log []byte
+	for parts := rng.Intn(10); parts >= 0; parts-- {
+		rec := record(ids[rng.Intn(len(ids))], payload())
+		switch rng.Intn(10) {
+		case 0: // garbage with stray 0xff bytes and magic prefixes
+			for k := rng.Intn(6); k >= 0; k-- {
+				switch rng.Intn(3) {
+				case 0:
+					log = append(log, noise[:rng.Intn(40)]...)
+				case 1:
+					log = append(log, recordMagic[:1+rng.Intn(len(recordMagic))]...)
+				default:
+					log = append(log, "\xff\xff{}"...)
+				}
+			}
+		case 1: // a header that frames no record
+			h := append([]byte(nil), rec[:headerLen]...)
+			binary.LittleEndian.PutUint32(h[12:], rng.Uint32())
+			log = append(log, h...)
+		case 2: // a flipped bit
+			i := rng.Intn(len(rec))
+			rec[i] ^= 1 << rng.Intn(8)
+			log = append(log, rec...)
+		case 3: // a torn record, followed by more
+			log = append(log, rec[:rng.Intn(len(rec))]...)
+		default:
+			log = append(log, rec...)
+		}
+	}
+	if rng.Intn(3) == 0 { // a cut tail
+		rec := record(ids[rng.Intn(len(ids))], payload())
+		log = append(log, rec[:rng.Intn(len(rec))]...)
+	}
+	return log
+}
+
+// refScan is the scan this package shipped when Open first read the
+// log through a window of its own, kept verbatim but for names as the
+// reference TestScanMatchesReference holds scanLocked to. It indexes
+// into index and returns the resume offset and the damage count.
+func refScan(f *os.File, index map[uint64]span, from, to int64, open bool) (resume, errs int64) {
+	place := func(p uint64, sp span) {
+		if old, ok := index[p]; !ok || old.off < sp.off {
+			index[p] = sp
+		}
+	}
+	damaged := func(from, to int64) { errs++ }
+	w := refWindow{f: f, base: from, limit: to}
+	cut, bad := int64(-1), int64(-1) // first cut-off record; start of the damage being skipped
+	for off := from; ; {
+		next := w.find(off)
+		if next > off && bad < 0 {
+			bad = off
+		}
+		if off = next; off >= w.limit {
+			break
+		}
+		n, st := w.frame(off)
+		switch st {
+		case refFrameValid:
+			id, _ := w.at(off+headerLen, idLen)
+			place(prefix(id), span{off, uint32(n)})
+			if bad >= 0 {
+				damaged(bad, off)
+			}
+			cut, bad = -1, -1
+			off += n
+			continue
+		case refFrameCut:
+			if cut < 0 {
+				cut = off
+			}
+		}
+		if bad < 0 {
+			bad = off
+		}
+		off++
+	}
+	end := to
+	if w.err != nil {
+		errs++
+		end, open = w.limit, true
+	}
+	if open && cut >= 0 {
+		if bad >= 0 && bad < cut {
+			damaged(bad, cut)
+		}
+		return cut, errs
+	}
+	if bad >= 0 {
+		damaged(bad, end)
+	}
+	return end, errs
+}
+
+type refFrameStatus uint8
+
+const (
+	refFrameBad   refFrameStatus = iota // no record starts here
+	refFrameCut                         // a record may start here but runs past the scan's end
+	refFrameValid                       // a whole record whose CRC verifies
+)
+
+// refWindow reads the log for a scan through one buffer of scanChunk
+// bytes, so a scan's memory does not grow with the log or a record.
+type refWindow struct {
+	f     *os.File
+	buf   []byte
+	base  int64 // log offset of buf[0]
+	limit int64 // end of the scan, lowered to what was read after a read error
+	err   error
+}
+
+// at returns the n ≤ scanChunk bytes at off, or with ok false the
+// fewer of them that lie before the limit. The slice is valid until the
+// next call.
+func (w *refWindow) at(off int64, n int) (b []byte, ok bool) {
+	ok = true
+	if rest := w.limit - off; int64(n) > rest {
+		n, ok = int(max(rest, 0)), false
+	}
+	if n == 0 {
+		return nil, ok
+	}
+	if off < w.base || off+int64(n) > w.base+int64(len(w.buf)) {
+		w.fill(off)
+		if held := w.base + int64(len(w.buf)) - off; int64(n) > held {
+			n, ok = int(held), false
+		}
+	}
+	i := int(off - w.base)
+	return w.buf[i : i+n], ok
+}
+
+// fill refills the buffer from off, keeping what it holds from there.
+func (w *refWindow) fill(off int64) {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, scanChunk)
+	}
+	kept := 0
+	if off >= w.base && off < w.base+int64(len(w.buf)) {
+		kept = copy(w.buf[:cap(w.buf)], w.buf[off-w.base:])
+	}
+	w.base = off
+	want := int(min(int64(cap(w.buf)-kept), w.limit-off-int64(kept)))
+	n := 0
+	if want > 0 {
+		var err error
+		n, err = w.f.ReadAt(w.buf[kept:kept+want], off+int64(kept))
+		if n < want {
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
+			w.err = err
+			w.limit = off + int64(kept+n)
+		}
+	}
+	w.buf = w.buf[:kept+n]
+}
+
+// find returns the first offset at or after off where the record magic
+// starts, or where a prefix of it runs into the limit; else the limit.
+func (w *refWindow) find(off int64) int64 {
+	for off < w.limit {
+		var b []byte
+		if off >= w.base && off < w.base+int64(len(w.buf)) {
+			b = w.buf[off-w.base:]
+		}
+		if len(b) < len(recordMagic) {
+			b, _ = w.at(off, scanChunk)
+		}
+		if i := bytes.Index(b, []byte(recordMagic)); i >= 0 {
+			return off + int64(i)
+		}
+		if off+int64(len(b)) >= w.limit {
+			for k := min(len(recordMagic)-1, len(b)); k > 0; k-- {
+				if bytes.HasSuffix(b, []byte(recordMagic[:k])) {
+					return w.limit - int64(k)
+				}
+			}
+			break
+		}
+		off += int64(len(b) - (len(recordMagic) - 1))
+	}
+	return w.limit
+}
+
+// frame judges the candidate record at off, which find returned, and
+// returns its length when it is valid.
+func (w *refWindow) frame(off int64) (int64, refFrameStatus) {
+	h, ok := w.at(off, headerLen)
+	if !ok {
+		return 0, refFrameCut
+	}
+	n, ok := frameLen(h)
+	if !ok {
+		return 0, refFrameBad
+	}
+	if off+n > w.limit {
+		return 0, refFrameCut
+	}
+	want := binary.LittleEndian.Uint32(h[4:])
+	var sum uint32
+	for at, rest := off+8, n-8; rest > 0; {
+		k := min(rest, scanChunk)
+		b, ok := w.at(at, int(k))
+		if !ok {
+			return 0, refFrameCut // a read error lowered the limit
+		}
+		sum = crc32.Update(sum, castagnoli, b)
+		at, rest = at+k, rest-k
+	}
+	if sum != want {
+		return 0, refFrameBad
+	}
+	return n, refFrameValid
 }
