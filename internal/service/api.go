@@ -105,9 +105,8 @@ func WithSyncTimeout(d time.Duration) APIOption {
 }
 
 // WithLedger attaches the portfolio win/loss ledger so /v1/stats
-// reports it in its portfolio block. Compile paths pick the ledger up
-// through the manager's Config.Ledger (async) and directly here (sync);
-// this option also feeds the sync path when the manager has none.
+// reports it in its portfolio block. Compiles consult the ledger the
+// manager's Config.Ledger names.
 func WithLedger(l *store.Ledger) APIOption {
 	return func(a *API) { a.ledger = l }
 }
@@ -148,7 +147,7 @@ func NewAPI(mgr *Manager, st *store.Store, opts ...APIOption) *API {
 	// Async jobs trace through the manager; give it the same buffer so a
 	// job's spans land in the trace of the request that submitted it.
 	if mgr != nil {
-		mgr.setTracer(a.tracer)
+		mgr.tracer = a.tracer
 	}
 	a.registerMetrics()
 	return a
@@ -281,14 +280,23 @@ type compileRequest struct {
 	// trace ID is always surfaced via the Trace-Id header regardless).
 	Trace bool `json:"trace,omitempty"`
 
-	mh      *fermion.MajoranaHamiltonian // resolved by decodeCompileRequest
-	devOpts []compiler.Option            // resolved device options
-	// routedQASM gates embedding the routed circuit text in responses.
-	// For sync compiles it mirrors Strings; for job polls it is the
-	// submission's include_strings (mapping strings stay unconditional
-	// there — the async flow has no other endpoint to fetch them from,
-	// but the routed QASM can be hundreds of KB per poll).
-	routedQASM bool
+	// Resolved by decodeCompileRequest: the Hamiltonian in Majorana form,
+	// and the options and device lowered onto compiler options.
+	mh   *fermion.MajoranaHamiltonian
+	opts []compiler.Option
+}
+
+// request is the manager's form of a decoded compile request, which
+// both POST /v1/compile and POST /v1/jobs compile.
+func (req *compileRequest) request() Request {
+	return Request{
+		Model:       req.Model,
+		Hamiltonian: req.mh,
+		Spec:        req.Method,
+		Options:     req.opts,
+		Timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
+		Strings:     req.Strings,
+	}
 }
 
 // requestOptions is the JSON mirror of the compiler's result-affecting
@@ -405,10 +413,13 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 	if req.TimeoutMS < 0 {
 		return nil, badRequest("timeout_ms must be ≥ 0")
 	}
+	opts, aerr := req.Options.compilerOptions()
+	if aerr != nil {
+		return nil, aerr
+	}
 
 	// Device targeting: validated here so a bad spec or malformed custom
 	// JSON is a structured 4xx before any compilation work.
-	req.routedQASM = req.Strings
 	switch {
 	case req.Device != "" && len(req.CustomDevice) > 0:
 		return nil, badRequest("device and custom_device are mutually exclusive")
@@ -416,23 +427,23 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 		if err := arch.CheckSpec(req.Device); err != nil {
 			return nil, badRequest("%v", err)
 		}
-		req.devOpts = []compiler.Option{compiler.WithDevice(req.Device)}
+		opts = append(opts, compiler.WithDevice(req.Device))
 	case len(req.CustomDevice) > 0:
 		d, err := arch.ParseDeviceJSON(req.CustomDevice)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		req.devOpts = []compiler.Option{compiler.WithDeviceSpec(d)}
+		opts = append(opts, compiler.WithDeviceSpec(d))
 	}
+	req.opts = opts
 
 	if len(req.Hamiltonian) == 0 && req.Model == "" {
 		return nil, badRequest("request needs a model spec or a hamiltonian")
 	}
-	mh, aerr := a.majoranaForm(r.Context(), &req)
+	req.mh, aerr = a.majoranaForm(r.Context(), &req)
 	if aerr != nil {
 		return nil, aerr
 	}
-	req.mh = mh
 	if req.Model == "" {
 		req.Model = "custom"
 	}
@@ -595,29 +606,11 @@ func partialEnvelope(model string, p compiler.PartialResult, elapsed time.Durati
 }
 
 // compileSync is the production sync-compile path behind POST
-// /v1/compile: the search is bounded by the request's own timeout
-// (capped by the server default) and by ctx — the HTTP request context,
-// so a client that disconnects stops paying for its search instead of
-// burning a worker until the timeout.
+// /v1/compile: the manager's compile, bounded by the request's own
+// timeout (capped by the server default) and by ctx — the HTTP request
+// context, so a client that disconnects stops paying for its search
+// instead of burning a worker until the timeout.
 func (a *API) compileSync(ctx context.Context, req *compileRequest) (*compiler.Result, int, error) {
-	var opts []compiler.Option
-	if req.Options != nil {
-		o, aerr := req.Options.compilerOptions()
-		if aerr != nil {
-			return nil, aerr.code, aerr
-		}
-		opts = o
-	}
-	opts = append(opts, req.devOpts...)
-	if a.mgr != nil && a.mgr.cfg.Store != nil {
-		opts = append(opts, compiler.WithStore(a.mgr.cfg.Store))
-	}
-	switch {
-	case a.mgr != nil && a.mgr.cfg.Ledger != nil:
-		opts = append(opts, compiler.WithMethodLedger(a.mgr.cfg.Ledger))
-	case a.ledger != nil:
-		opts = append(opts, compiler.WithMethodLedger(a.ledger))
-	}
 	timeout := a.timeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
@@ -626,7 +619,7 @@ func (a *API) compileSync(ctx context.Context, req *compileRequest) (*compiler.R
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	res, err := compiler.Compile(ctx, req.Method, req.mh, opts...)
+	res, err := a.mgr.compile(ctx, req.request())
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return nil, http.StatusRequestTimeout, fmt.Errorf("compilation exceeded %s", timeout)
@@ -664,7 +657,7 @@ func (a *API) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err.Error())
 		return
 	}
-	resp, err := resultEnvelope(r.Context(), req.Model, res, time.Since(start), req.Strings, req.routedQASM)
+	resp, err := resultEnvelope(r.Context(), req.Model, res, time.Since(start), req.Strings, req.Strings)
 	if err != nil {
 		writeEnvelopeErr(w, err)
 		return
@@ -697,24 +690,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, aerr.code, aerr.msg)
 		return
 	}
-	var opts []compiler.Option
-	if req.Options != nil {
-		o, aerr := req.Options.compilerOptions()
-		if aerr != nil {
-			writeErr(w, aerr.code, aerr.msg)
-			return
-		}
-		opts = o
-	}
-	opts = append(opts, req.devOpts...)
-	sreq := Request{
-		Model:       req.Model,
-		Hamiltonian: req.mh,
-		Spec:        req.Method,
-		Options:     opts,
-		Timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
-		Strings:     req.Strings,
-	}
+	sreq := req.request()
 	if req.Trace {
 		// Tie the job's spans to the submitting request's trace so the
 		// poller (and GET /v1/traces/{id}) can see the async compile's

@@ -106,3 +106,30 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 		}
 	})
 }
+
+// TestOutOfRangeOptionsRefusedAtDecode sends the out-of-range option
+// seeds of FuzzCompileRequestDecoder through fuzzAPI, whose compile
+// stage is a stub: decode validates options, so each is a 400 before
+// any compile runs.
+func TestOutOfRangeOptionsRefusedAtDecode(t *testing.T) {
+	a, stop := fuzzAPI(t)
+	defer stop()
+	handler := a.Handler()
+	for _, body := range []string{
+		`{"model":"h2","options":{"beam_width":2147483647}}`,
+		`{"model":"h2","options":{"visit_budget":-9223372036854775808}}`,
+		`{"model":"h2","options":{"anneal_iters":999999999999}}`,
+		`{"model":"h2","options":{"anneal_t_start":1e308,"anneal_t_end":-1}}`,
+		`{"model":"h2","options":{"anneal_restarts":-1}}`,
+		`{"model":"h2","options":{"parallelism":1000000}}`,
+		`{"model":"h2","options":{"tie_break":"diagonal"}}`,
+	} {
+		for _, route := range []string{"/v1/compile", "/v1/jobs"} {
+			rr := httptest.NewRecorder()
+			handler.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+			if rr.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: %d %s, want 400", route, body, rr.Code, rr.Body.String())
+			}
+		}
+	}
+}

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fermion"
-	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/pkg/compiler"
 )
@@ -48,42 +47,33 @@ type Config struct {
 	// single-threaded search parallelism unless its options say
 	// otherwise). Non-positive means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the pending-job queue; submissions beyond it get
-	// ErrQueueFull. Non-positive means DefaultQueueDepth.
+	// QueueDepth bounds the pending-job queue; from 7/8 of it on,
+	// submissions of new work get ErrOverloaded. Non-positive means
+	// DefaultQueueDepth.
 	QueueDepth int
-	// ShedDepth is the queue depth at which Submit starts refusing new
-	// (non-deduplicated) work with ErrOverloaded — graceful load
-	// shedding with client guidance before the queue is hard-full.
-	// Non-positive or > QueueDepth means 7/8 of QueueDepth, minimum 1.
-	ShedDepth int
-	// Store, when non-nil, is attached to every job via WithStore.
+	// Store, when non-nil, is attached to every compile via WithStore.
 	Store compiler.Store
-	// Ledger, when non-nil, is attached to every job via
+	// Ledger, when non-nil, is attached to every compile via
 	// WithMethodLedger: completed portfolio races record their outcome
 	// and future races consult it for launch ordering.
 	Ledger compiler.MethodLedger
-	// KeepFinished bounds how many finished jobs remain pollable; the
-	// oldest are forgotten first. Non-positive means DefaultKeepFinished.
-	KeepFinished int
 	// MaxJobTime is the server-side ceiling on any single job's compile
 	// time — the async counterpart of the sync endpoint's timeout, so a
 	// handful of pathological requests can never pin the worker pool
 	// forever. A request's own Timeout may only tighten it.
 	// Non-positive means DefaultMaxJobTime.
 	MaxJobTime time.Duration
-	// Tracer, when non-nil, records a job.run span (plus the compile
-	// pipeline's stage spans beneath it) for every job whose Request
-	// carries a valid trace context. NewAPI injects its own tracer here
-	// when none is configured.
-	Tracer *obs.Tracer
 }
 
 // Defaults for Config's non-positive fields.
 const (
-	DefaultQueueDepth   = 64
-	DefaultKeepFinished = 1024
-	DefaultMaxJobTime   = time.Hour
+	DefaultQueueDepth = 64
+	DefaultMaxJobTime = time.Hour
 )
+
+// keepFinished bounds how many finished jobs remain pollable; the
+// oldest are forgotten first.
+const keepFinished = 1024
 
 // State is a job's lifecycle phase.
 type State string
@@ -97,8 +87,9 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Request describes one compilation. Either Model (a models.Resolve
-// spec) or Hamiltonian must be set; Hamiltonian wins when both are.
+// Request describes one compilation of Hamiltonian, which must be set.
+// Model labels it: the models.Resolve spec it was built from, or ""
+// for "custom".
 type Request struct {
 	Model       string
 	Hamiltonian *fermion.MajoranaHamiltonian
@@ -186,6 +177,12 @@ type Manager struct {
 	root   context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+
+	// tracer, when non-nil, records a job.run span (plus the compile
+	// pipeline's stage spans beneath it) for every job whose Request
+	// carries a valid trace context. NewAPI sets it to its own buffer
+	// before the first submission.
+	tracer *obs.Tracer
 }
 
 // New builds a manager and starts its workers.
@@ -195,12 +192,6 @@ func New(cfg Config) *Manager {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.KeepFinished <= 0 {
-		cfg.KeepFinished = DefaultKeepFinished
-	}
-	if cfg.ShedDepth <= 0 || cfg.ShedDepth > cfg.QueueDepth {
-		cfg.ShedDepth = max(1, cfg.QueueDepth*7/8)
 	}
 	if cfg.MaxJobTime <= 0 {
 		cfg.MaxJobTime = DefaultMaxJobTime
@@ -222,46 +213,43 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// setTracer installs a span buffer when the config has none; NewAPI
-// calls it so the HTTP layer and the job manager share one trace store.
-// Must run before the first traced submission.
-func (m *Manager) setTracer(tr *obs.Tracer) {
-	m.mu.Lock()
-	if m.cfg.Tracer == nil {
-		m.cfg.Tracer = tr
-	}
-	m.mu.Unlock()
-}
-
 // resolve normalizes a request into the pieces the manager keys on.
-func resolve(req Request) (mh *fermion.MajoranaHamiltonian, spec, model, key string, err error) {
+func resolve(req Request) (spec, model, key string, err error) {
 	spec = req.Spec
 	if spec == "" {
 		spec = "hatt"
 	}
 	if _, err = compiler.Resolve(spec); err != nil {
-		return nil, "", "", "", err
+		return "", "", "", err
 	}
-	mh = req.Hamiltonian
+	if req.Hamiltonian == nil {
+		return "", "", "", errors.New("service: request needs a Hamiltonian")
+	}
 	model = req.Model
-	if mh == nil {
-		if model == "" {
-			return nil, "", "", "", errors.New("service: request needs a Model spec or a Hamiltonian")
-		}
-		h, rerr := models.Resolve(model)
-		if rerr != nil {
-			return nil, "", "", "", rerr
-		}
-		mh = h.Majorana(1e-12)
-	} else if model == "" {
+	if model == "" {
 		model = "custom"
 	}
 	o := compiler.NewOptions(req.Options...)
 	// The dedup key is the content address plus the time budget: a
 	// submitter with a generous timeout must not attach to a job about
 	// to be killed by a stingy one.
-	key = fmt.Sprintf("%s|%s|%s|t=%d", mh.Fingerprint(), spec, o.Digest(), req.Timeout)
-	return mh, spec, model, key, nil
+	key = fmt.Sprintf("%s|%s|%s|t=%d", req.Hamiltonian.Fingerprint(), spec, o.Digest(), req.Timeout)
+	return spec, model, key, nil
+}
+
+// compile runs one request's compile with the manager's store and
+// ledger attached. POST /v1/compile and every job call it, each under
+// its own deadline.
+func (m *Manager) compile(ctx context.Context, req Request, extra ...compiler.Option) (*compiler.Result, error) {
+	opts := make([]compiler.Option, 0, len(req.Options)+len(extra)+2)
+	opts = append(append(opts, req.Options...), extra...)
+	if m.cfg.Store != nil {
+		opts = append(opts, compiler.WithStore(m.cfg.Store))
+	}
+	if m.cfg.Ledger != nil {
+		opts = append(opts, compiler.WithMethodLedger(m.cfg.Ledger))
+	}
+	return compiler.Compile(ctx, req.Spec, req.Hamiltonian, opts...)
 }
 
 // Submit validates the request and enqueues a job, returning its status.
@@ -269,11 +257,10 @@ func resolve(req Request) (mh *fermion.MajoranaHamiltonian, spec, model, key str
 // running, the submission attaches to it instead and deduped is true.
 // A full queue fails fast with ErrQueueFull.
 func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
-	mh, spec, model, key, err := resolve(req)
+	spec, model, key, err := resolve(req)
 	if err != nil {
 		return Status{}, false, err
 	}
-	req.Hamiltonian = mh
 	req.Spec = spec
 
 	m.mu.Lock()
@@ -290,10 +277,10 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 		return st, true, nil
 	}
 	// Shed before the queue is hard-full: deduplicated attaches above are
-	// free and always admitted, but net-new work beyond the shed depth is
-	// refused while there is still headroom, so the answer is a prompt
-	// 429 with retry guidance rather than a cliff.
-	if len(m.queue) >= m.cfg.ShedDepth {
+	// free and always admitted, but net-new work from 7/8 of the queue's
+	// depth on is refused while there is still headroom, so the answer is
+	// a prompt 429 with retry guidance rather than a cliff.
+	if len(m.queue) >= max(1, cap(m.queue)*7/8) {
 		m.mu.Unlock()
 		return Status{}, false, ErrOverloaded
 	}
@@ -351,11 +338,10 @@ func (m *Manager) run(j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 
-	opts := append([]compiler.Option(nil), j.req.Options...)
 	// Progress snapshots key by the reporting method: a portfolio's
 	// racers report concurrently, and a single map slot would let
 	// whichever racer spoke last overwrite the best weight seen so far.
-	opts = append(opts, compiler.WithProgress(func(ev compiler.ProgressEvent) {
+	progress := compiler.WithProgress(func(ev compiler.ProgressEvent) {
 		j.mu.Lock()
 		if j.progress == nil {
 			j.progress = make(map[string]Progress)
@@ -363,12 +349,12 @@ func (m *Manager) run(j *job) {
 		j.progress[ev.Method] = Progress{Stage: ev.Stage, Step: ev.Step, Total: ev.Total, BestWeight: ev.BestWeight}
 		j.lastEv = ev.Method
 		j.mu.Unlock()
-	}))
+	})
 	// Anytime best-so-far: partials are re-validated (the same
 	// anticommutation check the disk tier runs on loaded entries)
 	// before they become pollable, and only a strict improvement
 	// replaces the incumbent — a poller's partial weight never rises.
-	opts = append(opts, compiler.WithPartial(func(p compiler.PartialResult) {
+	partial := compiler.WithPartial(func(p compiler.PartialResult) {
 		if p.Mapping == nil || p.Mapping.Verify() != nil {
 			return
 		}
@@ -378,13 +364,8 @@ func (m *Manager) run(j *job) {
 			j.partial = &pc
 		}
 		j.mu.Unlock()
-	}))
-	if m.cfg.Store != nil {
-		opts = append(opts, compiler.WithStore(m.cfg.Store))
-	}
-	if m.cfg.Ledger != nil {
-		opts = append(opts, compiler.WithMethodLedger(m.cfg.Ledger))
-	}
+	})
+	// The deadline covers execute's failpoints as well as the compile.
 	timeout := m.cfg.MaxJobTime
 	if j.req.Timeout > 0 && j.req.Timeout < timeout {
 		timeout = j.req.Timeout
@@ -395,14 +376,14 @@ func (m *Manager) run(j *job) {
 	// the job.run span plus the compile pipeline's stage spans beneath it
 	// — under the submitting request's trace ID.
 	var span *obs.Span
-	if m.cfg.Tracer != nil && j.req.Trace.Valid() {
-		ctx = obs.WithTracer(ctx, m.cfg.Tracer)
+	if m.tracer != nil && j.req.Trace.Valid() {
+		ctx = obs.WithTracer(ctx, m.tracer)
 		ctx = obs.WithSpanContext(ctx, j.req.Trace)
 		ctx, span = obs.StartSpan(ctx, "job.run")
 		span.SetAttr("job_id", j.id)
 		span.SetAttr("method", j.spec)
 	}
-	res, err := m.execute(ctx, j, opts)
+	res, err := m.execute(ctx, j, progress, partial)
 	span.End()
 
 	j.mu.Lock()
@@ -436,7 +417,7 @@ func (m *Manager) run(j *job) {
 // shrinking the pool. The service.queue.stall failpoint holds the
 // worker here first, simulating a wedged dequeue path so overload
 // shedding and readiness can be exercised under a stalled queue.
-func (m *Manager) execute(ctx context.Context, j *job, opts []compiler.Option) (res *compiler.Result, err error) {
+func (m *Manager) execute(ctx context.Context, j *job, extra ...compiler.Option) (res *compiler.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res, err = nil, fmt.Errorf("service: compile worker panicked: %v", rec)
@@ -448,7 +429,7 @@ func (m *Manager) execute(ctx context.Context, j *job, opts []compiler.Option) (
 	if ferr := fault.Point("service.worker.panic"); ferr != nil {
 		panic(ferr)
 	}
-	return compiler.Compile(ctx, j.spec, j.req.Hamiltonian, opts...)
+	return m.compile(ctx, j.req, extra...)
 }
 
 // finish retires a job from the dedup index, closes its done channel,
@@ -459,7 +440,7 @@ func (m *Manager) finish(j *job) {
 		delete(m.inflight, j.key)
 	}
 	m.order = append(m.order, j.id)
-	for len(m.order) > m.cfg.KeepFinished {
+	for len(m.order) > keepFinished {
 		delete(m.jobs, m.order[0])
 		m.order = m.order[1:]
 	}

@@ -77,7 +77,7 @@ func TestSubmitRunResult(t *testing.T) {
 	m := New(Config{Workers: 2, QueueDepth: 8})
 	defer m.Shutdown(context.Background())
 
-	st, deduped, err := m.Submit(Request{Model: "h2", Spec: "jw"})
+	st, deduped, err := m.Submit(named(t, Request{Model: "h2", Spec: "jw"}))
 	if err != nil || deduped {
 		t.Fatalf("submit: err=%v deduped=%v", err, deduped)
 	}
@@ -97,11 +97,11 @@ func TestSubmitRunResult(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	m := New(Config{Workers: 1})
 	defer m.Shutdown(context.Background())
-	if _, _, err := m.Submit(Request{Model: "h2", Spec: "no-such-method"}); err == nil {
+	if _, _, err := m.Submit(named(t, Request{Model: "h2", Spec: "no-such-method"})); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, _, err := m.Submit(Request{Model: "no-such-model"}); err == nil {
-		t.Fatal("unknown model accepted")
+	if _, _, err := m.Submit(Request{Model: "h2"}); err == nil {
+		t.Fatal("model without its Hamiltonian accepted")
 	}
 	if _, _, err := m.Submit(Request{}); err == nil {
 		t.Fatal("empty request accepted")
@@ -116,13 +116,13 @@ func TestDeduplicationOfInflightJobs(t *testing.T) {
 	m := New(Config{Workers: 2, QueueDepth: 8})
 	defer m.Shutdown(context.Background())
 
-	first, deduped, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	first, deduped, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil || deduped {
 		t.Fatalf("first submit: err=%v deduped=%v", err, deduped)
 	}
 	<-b.started // running now
 
-	second, deduped, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	second, deduped, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatalf("second submit: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestDeduplicationOfInflightJobs(t *testing.T) {
 	}
 
 	// A different model is a different content address — no dedup.
-	other, deduped, err := m.Submit(Request{Model: "hubbard:1x2", Spec: b.name})
+	other, deduped, err := m.Submit(named(t, Request{Model: "hubbard:1x2", Spec: b.name}))
 	if err != nil || deduped || other.ID == first.ID {
 		t.Fatalf("distinct problem deduplicated: %+v err=%v deduped=%v", other, err, deduped)
 	}
@@ -146,7 +146,7 @@ func TestDeduplicationOfInflightJobs(t *testing.T) {
 
 	// Once finished, the content address is free again: a new submission
 	// is a fresh job (it will hit the store, but it is not attached).
-	again, deduped, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	again, deduped, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil || deduped || again.ID == first.ID {
 		t.Fatalf("finished job still captured dedup: %+v err=%v deduped=%v", again, err, deduped)
 	}
@@ -163,18 +163,18 @@ func TestQueueBackpressure(t *testing.T) {
 		m.Shutdown(context.Background())
 	}()
 
-	running, _, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	running, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-b.started
 	// Distinct problems so dedup cannot absorb them.
-	if _, _, err := m.Submit(Request{Model: "hubbard:1x2", Spec: b.name}); err != nil {
+	if _, _, err := m.Submit(named(t, Request{Model: "hubbard:1x2", Spec: b.name})); err != nil {
 		t.Fatalf("queue slot submit: %v", err)
 	}
 	// With QueueDepth 1 the shed depth coincides with hard-full, so the
 	// refusal is the graceful ErrOverloaded (both map to 429).
-	_, _, err = m.Submit(Request{Model: "hubbard:1x3", Spec: b.name})
+	_, _, err = m.Submit(named(t, Request{Model: "hubbard:1x3", Spec: b.name}))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overfull submit: %v, want ErrOverloaded", err)
 	}
@@ -183,32 +183,33 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestShedBeforeHardFull(t *testing.T) {
 	b := newBlocking(t)
-	m := New(Config{Workers: 1, QueueDepth: 8, ShedDepth: 2})
+	m := New(Config{Workers: 1, QueueDepth: 8})
 	defer func() {
 		close(b.release)
 		m.Shutdown(context.Background())
 	}()
 
-	if _, _, err := m.Submit(Request{Model: "h2", Spec: b.name}); err != nil {
+	if _, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name})); err != nil {
 		t.Fatal(err)
 	}
 	<-b.started
-	// Two jobs fit under the shed depth; distinct problems defeat dedup.
-	for _, model := range []string{"hubbard:1x2", "hubbard:1x3"} {
-		if _, _, err := m.Submit(Request{Model: model, Spec: b.name}); err != nil {
+	// Seven jobs fit under the shed depth, 7/8 of the queue; distinct
+	// problems defeat dedup.
+	for _, model := range []string{"hubbard:1x2", "hubbard:1x3", "hubbard:1x4", "hubbard:1x5", "hubbard:1x6", "hubbard:2x2", "hubbard:2x3"} {
+		if _, _, err := m.Submit(named(t, Request{Model: model, Spec: b.name})); err != nil {
 			t.Fatalf("submit %s under shed depth: %v", model, err)
 		}
 	}
-	// The queue still has six free slots, but the shed depth refuses
+	// The queue still has a free slot, but the shed depth refuses
 	// net-new work here — before the cliff.
-	if _, _, err := m.Submit(Request{Model: "hubbard:2x2", Spec: b.name}); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := m.Submit(named(t, Request{Model: "hubbard:3x3", Spec: b.name})); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("beyond shed depth: %v, want ErrOverloaded", err)
 	}
 	if pending, capacity := m.QueueDepth(); pending >= capacity {
 		t.Fatalf("shed only fired at hard-full: %d/%d", pending, capacity)
 	}
 	// Deduplicated attaches are always admitted, even while shedding.
-	if _, deduped, err := m.Submit(Request{Model: "hubbard:1x2", Spec: b.name}); err != nil || !deduped {
+	if _, deduped, err := m.Submit(named(t, Request{Model: "hubbard:1x2", Spec: b.name})); err != nil || !deduped {
 		t.Fatalf("dedup attach while shedding: deduped=%v err=%v", deduped, err)
 	}
 }
@@ -218,12 +219,12 @@ func TestCancelRunningAndQueued(t *testing.T) {
 	m := New(Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
 
-	run, _, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	run, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-b.started
-	queued, _, err := m.Submit(Request{Model: "hubbard:1x2", Spec: b.name})
+	queued, _, err := m.Submit(named(t, Request{Model: "hubbard:1x2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +268,18 @@ func TestCanceledJobDoesNotCaptureDedup(t *testing.T) {
 	}()
 
 	// Occupy the only worker so the target job stays queued.
-	if _, _, err := m.Submit(Request{Model: "hubbard:1x2", Spec: b.name}); err != nil {
+	if _, _, err := m.Submit(named(t, Request{Model: "hubbard:1x2", Spec: b.name})); err != nil {
 		t.Fatal(err)
 	}
 	<-b.started
-	target, _, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	target, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Cancel(target.ID); err != nil {
 		t.Fatal(err)
 	}
-	fresh, deduped, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	fresh, deduped, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestAsyncJobTimeout(t *testing.T) {
 	m := New(Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
 
-	st, _, err := m.Submit(Request{Model: "h2", Spec: b.name, Timeout: 30 * time.Millisecond})
+	st, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name, Timeout: 30 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestMaxJobTimeCapsEveryJob(t *testing.T) {
 		"no client timeout":     {Model: "h2", Spec: b.name},
 		"longer client timeout": {Model: "hubbard:1x2", Spec: b.name, Timeout: time.Hour},
 	} {
-		st, _, err := m.Submit(req)
+		st, _, err := m.Submit(named(t, req))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -339,7 +340,7 @@ func TestShutdownDrains(t *testing.T) {
 	m := New(Config{Workers: 2, QueueDepth: 8})
 	var ids []string
 	for _, model := range []string{"h2", "hubbard:1x2", "hubbard:1x3"} {
-		st, _, err := m.Submit(Request{Model: model, Spec: "jw"})
+		st, _, err := m.Submit(named(t, Request{Model: model, Spec: "jw"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +355,7 @@ func TestShutdownDrains(t *testing.T) {
 			t.Fatalf("job %s after drain: %+v err=%v", id, st, err)
 		}
 	}
-	if _, _, err := m.Submit(Request{Model: "h2", Spec: "jw"}); !errors.Is(err, ErrClosed) {
+	if _, _, err := m.Submit(named(t, Request{Model: "h2", Spec: "jw"})); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-shutdown submit: %v, want ErrClosed", err)
 	}
 	// Idempotent.
@@ -366,7 +367,7 @@ func TestShutdownDrains(t *testing.T) {
 func TestShutdownDeadlineCancelsStuckJobs(t *testing.T) {
 	b := newBlocking(t)
 	m := New(Config{Workers: 1, QueueDepth: 4})
-	st, _, err := m.Submit(Request{Model: "h2", Spec: b.name})
+	st, _, err := m.Submit(named(t, Request{Model: "h2", Spec: b.name}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				st, _, err := m.Submit(Request{Model: "h2", Spec: "jw"})
+				st, _, err := m.Submit(named(t, Request{Model: "h2", Spec: "jw"}))
 				if errors.Is(err, ErrQueueFull) {
 					continue
 				}

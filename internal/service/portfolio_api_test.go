@@ -216,14 +216,14 @@ func TestJobProgressKeyedByMethod(t *testing.T) {
 		defer cancel()
 		_ = mgr.Shutdown(ctx)
 	})
-	st, _, err := mgr.Submit(Request{
+	st, _, err := mgr.Submit(named(t, Request{
 		Model: "molecule:8",
 		Spec:  "portfolio:hatt+anneal",
 		Options: []compiler.Option{
 			compiler.WithSeed(3),
 			compiler.WithAnnealSchedule(5000, 0, 0),
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestWorkerPanicFailsJobOnly(t *testing.T) {
 	mgr := New(Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background())
 
-	doomed, _, err := mgr.Submit(Request{Model: "h2"})
+	doomed, _, err := mgr.Submit(named(t, Request{Model: "h2"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestWorkerPanicFailsJobOnly(t *testing.T) {
 		t.Fatalf("doomed job: %+v err=%v", st, err)
 	}
 
-	next, _, err := mgr.Submit(Request{Model: "hubbard:1x2"})
+	next, _, err := mgr.Submit(named(t, Request{Model: "hubbard:1x2"}))
 	if err != nil {
 		t.Fatal(err)
 	}
