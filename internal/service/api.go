@@ -246,7 +246,7 @@ func writeAPIErr(w http.ResponseWriter, err error) {
 		return
 	}
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", retryAfterBackpressure)
 		writeErr(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrClosed):

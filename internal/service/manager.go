@@ -5,9 +5,8 @@
 //
 // The manager's contract mirrors what a multi-tenant front end needs:
 //   - Submit is non-blocking with backpressure — a nearly-full queue
-//     sheds new work with ErrOverloaded and a hard-full queue returns
-//     ErrQueueFull (the HTTP layer maps both to 429 with a Retry-After)
-//     instead of stalling the caller.
+//     sheds new work with ErrOverloaded (the HTTP layer maps it to 429
+//     with a Retry-After) instead of stalling the caller.
 //   - Identical in-flight jobs deduplicate: a submission whose content
 //     address (Hamiltonian fingerprint, method spec, options digest)
 //     matches a queued or running job attaches to that job instead of
@@ -34,7 +33,6 @@ import (
 
 // Sentinel errors the HTTP layer translates into status codes.
 var (
-	ErrQueueFull  = errors.New("service: job queue full")
 	ErrOverloaded = errors.New("service: queue nearly full, shedding load")
 	ErrClosed     = errors.New("service: manager shut down")
 	ErrNotFound   = errors.New("service: no such job")
@@ -255,7 +253,7 @@ func (m *Manager) compile(ctx context.Context, req Request, extra ...compiler.Op
 // Submit validates the request and enqueues a job, returning its status.
 // If an identical job (same content address) is already queued or
 // running, the submission attaches to it instead and deduped is true.
-// A full queue fails fast with ErrQueueFull.
+// A nearly-full queue fails fast with ErrOverloaded.
 func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 	spec, model, key, err := resolve(req)
 	if err != nil {
@@ -298,12 +296,15 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 		state:   StateQueued,
 		created: time.Now(),
 	}
+	// Only Submit sends, under m.mu and below the shed depth, so the
+	// send finds room; the select keeps a send under the lock
+	// non-blocking all the same.
 	select {
 	case m.queue <- j:
 	default:
 		m.mu.Unlock()
 		jcancel()
-		return Status{}, false, ErrQueueFull
+		return Status{}, false, ErrOverloaded
 	}
 	m.jobs[j.id] = j
 	m.inflight[key] = j

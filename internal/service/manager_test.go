@@ -395,7 +395,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				st, _, err := m.Submit(named(t, Request{Model: "h2", Spec: "jw"}))
-				if errors.Is(err, ErrQueueFull) {
+				if errors.Is(err, ErrOverloaded) {
 					continue
 				}
 				if err != nil {
