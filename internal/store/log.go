@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -306,45 +307,53 @@ func (s *Store) writeRecord(rec []byte) (span, error) {
 // With open set, to is the log's current size and another process may
 // be mid-append, so a record cut off at to is not yet damage: unless a
 // valid record follows it, the scan returns its offset, where the next
-// scan resumes. Otherwise it returns to. s.logMu is held, or the store
-// is not yet shared.
+// scan resumes. Otherwise it returns to. A read error, a log that ends
+// before to among them, ends the scan where the read stopped, as an
+// open scan ends. s.logMu is held, or the store is not yet shared.
 func (s *Store) scanLocked(from, to int64, open bool) int64 {
-	w := window{f: s.log, base: from, limit: to}
+	// The buffer is no larger than the scan, so a catch-up scan of a few
+	// records does not allocate scanChunk.
+	r := &logReader{f: s.log, off: from, limit: to,
+		r: bufio.NewReaderSize(io.NewSectionReader(s.log, from, to-from), int(min(scanChunk, to-from)))}
 	cut, bad := int64(-1), int64(-1) // first cut-off record; start of the damage being skipped
-	for off := from; ; {
-		next := w.find(off)
-		if next > off && bad < 0 {
-			bad = off
+	for r.off < r.limit {
+		// Skip to the next byte that may start a record: the magic's
+		// first, which neither a JSON payload nor a hex id contains.
+		b := r.peek(int64(max(r.r.Buffered(), 1)))
+		i := bytes.IndexByte(b, recordMagic[0])
+		if i != 0 && len(b) > 0 && bad < 0 {
+			bad = r.off
 		}
-		if off = next; off >= w.limit {
-			break
+		if i < 0 {
+			r.advance(int64(len(b)))
+			continue
 		}
-		n, st := w.frame(off)
+		r.advance(int64(i))
+		n, p, st := r.frame()
 		switch st {
 		case frameValid:
-			id, _ := w.at(off+headerLen, idLen)
-			s.place(prefix(id), span{off, uint32(n)})
+			s.place(p, span{r.off, uint32(n)})
 			if bad >= 0 {
-				s.damaged(bad, off)
+				s.damaged(bad, r.off)
 			}
 			cut, bad = -1, -1
-			off += n
+			r.advance(n)
 			continue
 		case frameCut:
 			if cut < 0 {
-				cut = off
+				cut = r.off
 			}
 		}
 		if bad < 0 {
-			bad = off
+			bad = r.off
 		}
-		off++
+		r.advance(1)
 	}
 	end := to
-	if w.err != nil {
+	if r.err != nil {
 		s.diskErr.Add(1)
-		slog.Warn("store log unreadable", "path", s.log.Name(), "offset", w.limit, "err", w.err)
-		end, open = w.limit, true
+		slog.Warn("store log unreadable", "path", s.log.Name(), "offset", r.limit, "err", r.err)
+		end, open = r.limit, true
 	}
 	if open && cut >= 0 {
 		if bad >= 0 && bad < cut {
@@ -372,117 +381,73 @@ const (
 	frameValid                    // a whole record whose CRC verifies
 )
 
-// window reads the log for a scan through one buffer of scanChunk
-// bytes, so a scan's memory does not grow with the log or a record.
-type window struct {
+// logReader reads the log from off up to limit for a scan.
+type logReader struct {
 	f     *os.File
-	buf   []byte
-	base  int64 // log offset of buf[0]
+	r     *bufio.Reader // reads from off
+	off   int64
 	limit int64 // end of the scan, lowered to what was read after a read error
 	err   error
 }
 
-// at returns the n ≤ scanChunk bytes at off, or with ok false the
-// fewer of them that lie before the limit. The slice is valid until the
-// next call.
-func (w *window) at(off int64, n int) (b []byte, ok bool) {
-	ok = true
-	if rest := w.limit - off; int64(n) > rest {
-		n, ok = int(max(rest, 0)), false
+// peek returns the n bytes at off, or the fewer of them that lie
+// before the limit. The slice is valid until the next peek or advance.
+func (r *logReader) peek(n int64) []byte {
+	b, err := r.r.Peek(int(max(min(n, r.limit-r.off), 0)))
+	if err != nil {
+		r.err, r.limit = err, r.off+int64(len(b))
 	}
-	if n == 0 {
-		return nil, ok
-	}
-	if off < w.base || off+int64(n) > w.base+int64(len(w.buf)) {
-		w.fill(off)
-		if held := w.base + int64(len(w.buf)) - off; int64(n) > held {
-			n, ok = int(held), false
-		}
-	}
-	i := int(off - w.base)
-	return w.buf[i : i+n], ok
+	return b
 }
 
-// fill refills the buffer from off, keeping what it holds from there.
-func (w *window) fill(off int64) {
-	if w.buf == nil {
-		w.buf = make([]byte, 0, scanChunk)
+// advance moves the scan n bytes on. Past a record longer than the
+// buffer, which frame read on the side, the reader starts afresh.
+func (r *logReader) advance(n int64) {
+	if r.off += n; n <= int64(r.r.Buffered()) {
+		r.r.Discard(int(n))
+	} else {
+		r.r.Reset(io.NewSectionReader(r.f, r.off, r.limit-r.off))
 	}
-	kept := 0
-	if off >= w.base && off < w.base+int64(len(w.buf)) {
-		kept = copy(w.buf[:cap(w.buf)], w.buf[off-w.base:])
-	}
-	w.base = off
-	want := int(min(int64(cap(w.buf)-kept), w.limit-off-int64(kept)))
-	n := 0
-	if want > 0 {
-		var err error
-		n, err = w.f.ReadAt(w.buf[kept:kept+want], off+int64(kept))
-		if n < want {
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			w.err = err
-			w.limit = off + int64(kept+n)
-		}
-	}
-	w.buf = w.buf[:kept+n]
 }
 
-// find returns the first offset at or after off where the record magic
-// starts, or where a prefix of it runs into the limit; else the limit.
-func (w *window) find(off int64) int64 {
-	for off < w.limit {
-		var b []byte
-		if off >= w.base && off < w.base+int64(len(w.buf)) {
-			b = w.buf[off-w.base:]
+// frame judges the candidate record at off, a 0xff byte, and returns
+// its length and its id's index key when it is valid.
+func (r *logReader) frame() (int64, uint64, frameStatus) {
+	h := r.peek(headerLen + idLen)
+	if len(h) < headerLen {
+		// A tail shorter than a header is a record cut off when its
+		// bytes begin the magic.
+		if k := min(len(h), len(recordMagic)); string(h[:k]) == recordMagic[:k] {
+			return 0, 0, frameCut
 		}
-		if len(b) < len(recordMagic) {
-			b, _ = w.at(off, scanChunk)
-		}
-		if i := bytes.Index(b, []byte(recordMagic)); i >= 0 {
-			return off + int64(i)
-		}
-		if off+int64(len(b)) >= w.limit {
-			for k := min(len(recordMagic)-1, len(b)); k > 0; k-- {
-				if bytes.HasSuffix(b, []byte(recordMagic[:k])) {
-					return w.limit - int64(k)
-				}
-			}
-			break
-		}
-		off += int64(len(b) - (len(recordMagic) - 1))
-	}
-	return w.limit
-}
-
-// frame judges the candidate record at off, which find returned, and
-// returns its length when it is valid.
-func (w *window) frame(off int64) (int64, frameStatus) {
-	h, ok := w.at(off, headerLen)
-	if !ok {
-		return 0, frameCut
+		return 0, 0, frameBad
 	}
 	n, ok := frameLen(h)
-	if !ok {
-		return 0, frameBad
-	}
-	if off+n > w.limit {
-		return 0, frameCut
-	}
-	want := binary.LittleEndian.Uint32(h[4:])
-	var sum uint32
-	for at, rest := off+8, n-8; rest > 0; {
-		k := min(rest, scanChunk)
-		b, ok := w.at(at, int(k))
-		if !ok {
-			return 0, frameCut // a read error lowered the limit
+	switch {
+	case !ok:
+		return 0, 0, frameBad
+	case r.off+n > r.limit: // also when fewer than headerLen+idLen bytes are left
+		return 0, 0, frameCut
+	case n <= int64(r.r.Size()):
+		rec := r.peek(n)
+		if int64(len(rec)) < n {
+			return 0, 0, frameCut // a read error lowered the limit
 		}
-		sum = crc32.Update(sum, castagnoli, b)
-		at, rest = at+k, rest-k
+		if _, _, ok := parseRecord(rec); !ok {
+			return 0, 0, frameBad
+		}
+		return n, prefix(rec[headerLen:]), frameValid
 	}
-	if sum != want {
-		return 0, frameBad
+	// A record longer than the buffer has its CRC computed on the side,
+	// from h, which is read before anything else is peeked.
+	want, p := binary.LittleEndian.Uint32(h[4:]), prefix(h[headerLen:])
+	sum := crc32.New(castagnoli)
+	if k, err := io.CopyN(sum, io.NewSectionReader(r.f, r.off+8, n-8), n-8); err != nil {
+		r.err, r.limit = err, r.off+8+k
+		return 0, 0, frameCut
 	}
-	return n, frameValid
+	if sum.Sum32() != want {
+		return 0, 0, frameBad
+	}
+	return n, p, frameValid
 }
