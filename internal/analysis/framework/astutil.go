@@ -129,38 +129,6 @@ func NamedIn(t types.Type, pkgPath string, names ...string) bool {
 	return len(names) == 0
 }
 
-// ContainsLock reports whether a value of type t must not be copied:
-// it is, or transitively contains by value, one of the sync types with
-// internal state (Mutex, RWMutex, WaitGroup, Once, Cond, Pool, Map).
-func ContainsLock(t types.Type) bool {
-	return containsLock(t, make(map[types.Type]bool))
-}
-
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if NamedIn(t, "sync", "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map") {
-		// Pointers were stripped by NamedIn, but a *sync.Mutex field is
-		// fine to copy — only accept the bare named type here.
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
 // EnclosingFuncs walks the file and calls fn for every function
 // declaration with a body.
 func EnclosingFuncs(files []*ast.File, fn func(*ast.FuncDecl)) {

@@ -1,16 +1,13 @@
 // Package locksafe guards the service tier's concurrency discipline
-// (internal/store, internal/service, internal/lru):
-//
-//  1. A mutex must not be held across a blocking channel send or
-//     receive, a sync.WaitGroup.Wait, or a call into internal/parallel
-//     — any of these under a lock can deadlock the daemon or serialize
-//     the worker pool behind one critical section. Non-blocking channel
-//     operations (inside a select with a default clause) are fine; they
-//     are exactly how the job queue applies backpressure under its lock.
-//  2. Lock-containing values (sync.Mutex, RWMutex, WaitGroup, Once,
-//     Cond, Pool, Map — directly or embedded by value) must not be
-//     copied: no value receivers, no by-value parameters, no
-//     assignments from existing values, no by-value range variables.
+// (internal/store, internal/service, internal/lru): a mutex must not
+// be held across a blocking channel send or receive, a
+// sync.WaitGroup.Wait, or a call into internal/parallel — any of these
+// under a lock can deadlock the daemon or serialize the worker pool
+// behind one critical section. Non-blocking channel operations (inside
+// a select with a default clause) are fine; they are exactly how the
+// job queue applies backpressure under its lock. Copies of
+// lock-containing values are go vet's copylocks check, which runs on
+// every package.
 //
 // Lock tracking is a straight-line approximation: Lock()/Unlock() pairs
 // are followed through nested blocks, a deferred Unlock holds to the
@@ -31,7 +28,7 @@ import (
 // Analyzer is the locksafe pass.
 var Analyzer = &framework.Analyzer{
 	Name: "locksafe",
-	Doc:  "no blocking channel ops or parallel calls under a mutex; no lock-by-value copies",
+	Doc:  "no blocking channel ops or parallel calls under a mutex",
 	Scope: []string{
 		"repro/internal/store",
 		"repro/internal/service",
@@ -44,11 +41,8 @@ func run(pass *framework.Pass) error {
 	framework.EnclosingFuncs(pass.Files, func(fd *ast.FuncDecl) {
 		checkHeldLocks(pass, fd)
 	})
-	checkCopies(pass)
 	return nil
 }
-
-// --- rule 1: blocking work under a held mutex ---------------------------
 
 // lockExpr renders the receiver of a Lock/Unlock call as a stable key
 // ("m.mu", "j.mu", …).
@@ -186,77 +180,4 @@ func report(pass *framework.Pass, fd *ast.FuncDecl, pos token.Pos, what string, 
 		pass.Reportf(pos, "%s while %s is held in %s; shrink the critical section", what, key, fd.Name.Name)
 		return // one representative lock keeps the message stable
 	}
-}
-
-// --- rule 2: lock-by-value copies ---------------------------------------
-
-func checkCopies(pass *framework.Pass) {
-	framework.EnclosingFuncs(pass.Files, func(fd *ast.FuncDecl) {
-		if fd.Recv != nil && len(fd.Recv.List) == 1 {
-			t := pass.TypeOf(fd.Recv.List[0].Type)
-			if t != nil && !isPointer(t) && framework.ContainsLock(t) {
-				pass.Reportf(fd.Recv.Pos(), "method %s copies its lock-containing receiver; use a pointer receiver", fd.Name.Name)
-			}
-		}
-		for _, field := range fd.Type.Params.List {
-			t := pass.TypeOf(field.Type)
-			if t != nil && !isPointer(t) && framework.ContainsLock(t) {
-				pass.Reportf(field.Pos(), "parameter of %s passes a lock-containing value; pass a pointer", fd.Name.Name)
-			}
-		}
-	})
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range x.Rhs {
-					checkCopyExpr(pass, rhs)
-				}
-			case *ast.RangeStmt:
-				if x.Value != nil {
-					t := pass.TypeOf(x.Value)
-					// A `for _, v := range` value is a definition, not a use;
-					// its type lives in Defs rather than the Types map.
-					if t == nil {
-						if id, ok := x.Value.(*ast.Ident); ok {
-							if obj := pass.Info.Defs[id]; obj != nil {
-								t = obj.Type()
-							}
-						}
-					}
-					if t != nil && framework.ContainsLock(t) {
-						pass.Reportf(x.Value.Pos(), "range copies lock-containing values; iterate by index or pointer")
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range x.Args {
-					checkCopyExpr(pass, arg)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkCopyExpr flags expressions that copy an existing lock-containing
-// value: a plain variable/field/deref read of such a type. Composite
-// literals and calls construct fresh values and are fine.
-func checkCopyExpr(pass *framework.Pass, expr ast.Expr) {
-	switch ast.Unparen(expr).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := pass.TypeOf(expr)
-	if t == nil || isPointer(t) {
-		return
-	}
-	if framework.ContainsLock(t) {
-		pass.Reportf(expr.Pos(), "copies a lock-containing value of type %s; use a pointer", t)
-	}
-}
-
-func isPointer(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Pointer)
-	return ok
 }

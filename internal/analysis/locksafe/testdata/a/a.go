@@ -90,42 +90,3 @@ func (q *Q) SpawnUnderLock() {
 		q.ch <- 1
 	}()
 }
-
-type Guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (g Guarded) ValueRecv() int { // want `method ValueRecv copies its lock-containing receiver`
-	return g.n
-}
-
-func (g *Guarded) PtrRecv() int {
-	return g.n
-}
-
-func TakeByValue(g Guarded) int { // want `parameter of TakeByValue passes a lock-containing value`
-	return g.n
-}
-
-func Deref(g *Guarded) {
-	c := *g // want `copies a lock-containing value of type a.Guarded`
-	_ = c.n
-}
-
-func Iterate(gs []Guarded) int {
-	total := 0
-	for _, g := range gs { // want `range copies lock-containing values`
-		total += g.n
-	}
-	return total
-}
-
-// IterateByIndex is the fix for Iterate.
-func IterateByIndex(gs []Guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].n
-	}
-	return total
-}
