@@ -413,8 +413,8 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 	if req.TimeoutMS < 0 {
 		return nil, badRequest("timeout_ms must be ≥ 0")
 	}
-	opts, aerr := req.Options.compilerOptions()
-	if aerr != nil {
+	var aerr *apiError
+	if req.opts, aerr = req.Options.compilerOptions(); aerr != nil {
 		return nil, aerr
 	}
 
@@ -427,15 +427,14 @@ func (a *API) decodeCompileRequest(r *http.Request) (*compileRequest, *apiError)
 		if err := arch.CheckSpec(req.Device); err != nil {
 			return nil, badRequest("%v", err)
 		}
-		opts = append(opts, compiler.WithDevice(req.Device))
+		req.opts = append(req.opts, compiler.WithDevice(req.Device))
 	case len(req.CustomDevice) > 0:
 		d, err := arch.ParseDeviceJSON(req.CustomDevice)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		opts = append(opts, compiler.WithDeviceSpec(d))
+		req.opts = append(req.opts, compiler.WithDeviceSpec(d))
 	}
-	req.opts = opts
 
 	if len(req.Hamiltonian) == 0 && req.Model == "" {
 		return nil, badRequest("request needs a model spec or a hamiltonian")
@@ -611,15 +610,14 @@ func partialEnvelope(model string, p compiler.PartialResult, elapsed time.Durati
 // context, so a client that disconnects stops paying for its search
 // instead of burning a worker until the timeout.
 func (a *API) compileSync(ctx context.Context, req *compileRequest) (*compiler.Result, int, error) {
+	sreq := req.request()
 	timeout := a.timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if sreq.Timeout > 0 && sreq.Timeout < timeout {
+		timeout = sreq.Timeout
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	res, err := a.mgr.compile(ctx, req.request())
+	res, err := a.mgr.compile(ctx, sreq)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return nil, http.StatusRequestTimeout, fmt.Errorf("compilation exceeded %s", timeout)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,8 +87,7 @@ const (
 )
 
 // Request describes one compilation of Hamiltonian, which must be set.
-// Model labels it: the models.Resolve spec it was built from, or ""
-// for "custom".
+// Model labels it, as the models.Resolve spec it was built from.
 type Request struct {
 	Model       string
 	Hamiltonian *fermion.MajoranaHamiltonian
@@ -137,11 +137,9 @@ type Status struct {
 
 // job is the manager's internal record.
 type job struct {
-	id    string
-	key   string // content address for dedup
-	model string
-	spec  string
-	req   Request
+	id  string
+	key string  // content address for dedup
+	req Request // normalized by Submit: Spec and Model set
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -176,10 +174,9 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// tracer, when non-nil, records a job.run span (plus the compile
-	// pipeline's stage spans beneath it) for every job whose Request
-	// carries a valid trace context. NewAPI sets it to its own buffer
-	// before the first submission.
+	// tracer, set by NewAPI before the first submission, records a
+	// job.run span and the compile's stage spans beneath it for every
+	// job whose Request carries a valid trace context.
 	tracer *obs.Tracer
 }
 
@@ -211,36 +208,11 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// resolve normalizes a request into the pieces the manager keys on.
-func resolve(req Request) (spec, model, key string, err error) {
-	spec = req.Spec
-	if spec == "" {
-		spec = "hatt"
-	}
-	if _, err = compiler.Resolve(spec); err != nil {
-		return "", "", "", err
-	}
-	if req.Hamiltonian == nil {
-		return "", "", "", errors.New("service: request needs a Hamiltonian")
-	}
-	model = req.Model
-	if model == "" {
-		model = "custom"
-	}
-	o := compiler.NewOptions(req.Options...)
-	// The dedup key is the content address plus the time budget: a
-	// submitter with a generous timeout must not attach to a job about
-	// to be killed by a stingy one.
-	key = fmt.Sprintf("%s|%s|%s|t=%d", req.Hamiltonian.Fingerprint(), spec, o.Digest(), req.Timeout)
-	return spec, model, key, nil
-}
-
 // compile runs one request's compile with the manager's store and
 // ledger attached. POST /v1/compile and every job call it, each under
 // its own deadline.
 func (m *Manager) compile(ctx context.Context, req Request, extra ...compiler.Option) (*compiler.Result, error) {
-	opts := make([]compiler.Option, 0, len(req.Options)+len(extra)+2)
-	opts = append(append(opts, req.Options...), extra...)
+	opts := slices.Concat(req.Options, extra)
 	if m.cfg.Store != nil {
 		opts = append(opts, compiler.WithStore(m.cfg.Store))
 	}
@@ -255,11 +227,23 @@ func (m *Manager) compile(ctx context.Context, req Request, extra ...compiler.Op
 // running, the submission attaches to it instead and deduped is true.
 // A nearly-full queue fails fast with ErrOverloaded.
 func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
-	spec, model, key, err := resolve(req)
-	if err != nil {
+	if req.Spec == "" {
+		req.Spec = "hatt"
+	}
+	if _, err := compiler.Resolve(req.Spec); err != nil {
 		return Status{}, false, err
 	}
-	req.Spec = spec
+	if req.Hamiltonian == nil {
+		return Status{}, false, errors.New("service: request needs a Hamiltonian")
+	}
+	if req.Model == "" {
+		req.Model = "custom"
+	}
+	// The dedup key is the content address plus the time budget: a
+	// submitter with a generous timeout must not attach to a job about
+	// to be killed by a stingy one.
+	key := fmt.Sprintf("%s|%s|%s|t=%d", req.Hamiltonian.Fingerprint(), req.Spec,
+		compiler.NewOptions(req.Options...).Digest(), req.Timeout)
 
 	m.mu.Lock()
 	if m.closed {
@@ -287,8 +271,6 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", m.seq),
 		key:     key,
-		model:   model,
-		spec:    spec,
 		req:     req,
 		ctx:     jctx,
 		cancel:  jcancel,
@@ -296,9 +278,8 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 		state:   StateQueued,
 		created: time.Now(),
 	}
-	// Only Submit sends, under m.mu and below the shed depth, so the
-	// send finds room; the select keeps a send under the lock
-	// non-blocking all the same.
+	// Only Submit sends, under m.mu and below the shed depth, so there is
+	// room; the select keeps the send under the lock non-blocking.
 	select {
 	case m.queue <- j:
 	default:
@@ -382,7 +363,7 @@ func (m *Manager) run(j *job) {
 		ctx = obs.WithSpanContext(ctx, j.req.Trace)
 		ctx, span = obs.StartSpan(ctx, "job.run")
 		span.SetAttr("job_id", j.id)
-		span.SetAttr("method", j.spec)
+		span.SetAttr("method", j.req.Spec)
 	}
 	res, err := m.execute(ctx, j, progress, partial)
 	span.End()
@@ -402,7 +383,7 @@ func (m *Manager) run(j *job) {
 	}
 	state, elapsed := j.state, j.finished.Sub(j.started)
 	j.mu.Unlock()
-	logger := obs.L(ctx).With("job_id", j.id, "model", j.model, "method", j.spec,
+	logger := obs.L(ctx).With("job_id", j.id, "model", j.req.Model, "method", j.req.Spec,
 		"state", string(state), "elapsed_ms", float64(elapsed.Microseconds())/1000)
 	if state == StateFailed {
 		logger.Warn("job finished", "error", err.Error())
@@ -457,8 +438,8 @@ func (j *job) status() Status {
 	st := Status{
 		ID:       j.id,
 		State:    j.state,
-		Model:    j.model,
-		Spec:     j.spec,
+		Model:    j.req.Model,
+		Spec:     j.req.Spec,
 		Attached: j.attached,
 		Error:    "",
 		Created:  j.created,

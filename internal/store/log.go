@@ -311,8 +311,7 @@ func (s *Store) writeRecord(rec []byte) (span, error) {
 // before to among them, ends the scan where the read stopped, as an
 // open scan ends. s.logMu is held, or the store is not yet shared.
 func (s *Store) scanLocked(from, to int64, open bool) int64 {
-	// The buffer is no larger than the scan, so a catch-up scan of a few
-	// records does not allocate scanChunk.
+	// A catch-up scan of a few records does not allocate scanChunk.
 	r := &logReader{f: s.log, off: from, limit: to,
 		r: bufio.NewReaderSize(io.NewSectionReader(s.log, from, to-from), int(min(scanChunk, to-from)))}
 	cut, bad := int64(-1), int64(-1) // first cut-off record; start of the damage being skipped
@@ -415,8 +414,7 @@ func (r *logReader) advance(n int64) {
 func (r *logReader) frame() (int64, uint64, frameStatus) {
 	h := r.peek(headerLen + idLen)
 	if len(h) < headerLen {
-		// A tail shorter than a header is a record cut off when its
-		// bytes begin the magic.
+		// A tail shorter than a header is cut off when it begins the magic.
 		if k := min(len(h), len(recordMagic)); string(h[:k]) == recordMagic[:k] {
 			return 0, 0, frameCut
 		}
