@@ -392,7 +392,7 @@ type logReader struct {
 // peek returns the n bytes at off, or the fewer of them that lie
 // before the limit. The slice is valid until the next peek or advance.
 func (r *logReader) peek(n int64) []byte {
-	b, err := r.r.Peek(int(max(min(n, r.limit-r.off), 0)))
+	b, err := r.r.Peek(int(min(n, r.limit-r.off)))
 	if err != nil {
 		r.err, r.limit = err, r.off+int64(len(b))
 	}
