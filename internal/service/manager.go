@@ -87,7 +87,7 @@ const (
 )
 
 // Request describes one compilation of Hamiltonian, which must be set.
-// Model labels it, as the models.Resolve spec it was built from.
+// Model labels it: the models.Resolve spec it was built from, or "custom".
 type Request struct {
 	Model       string
 	Hamiltonian *fermion.MajoranaHamiltonian
@@ -258,7 +258,7 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 		m.mu.Unlock()
 		return st, true, nil
 	}
-	// Shed before the queue is hard-full: deduplicated attaches above are
+	// Shed before the queue fills: deduplicated attaches above are
 	// free and always admitted, but net-new work from 7/8 of the queue's
 	// depth on is refused while there is still headroom, so the answer is
 	// a prompt 429 with retry guidance rather than a cliff.
