@@ -278,6 +278,9 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 		state:   StateQueued,
 		created: time.Now(),
 	}
+	// Snapshot before the send: once queued, a worker may finish the job
+	// before Submit returns.
+	st = j.status()
 	// Only Submit sends, under m.mu and below the shed depth, so there is
 	// room; the select keeps the send under the lock non-blocking.
 	select {
@@ -290,7 +293,7 @@ func (m *Manager) Submit(req Request) (st Status, deduped bool, err error) {
 	m.jobs[j.id] = j
 	m.inflight[key] = j
 	m.mu.Unlock()
-	return j.status(), false, nil
+	return st, false, nil
 }
 
 // worker drains the queue until Shutdown closes it.
