@@ -406,16 +406,22 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// scanStore returns a store over the log at path with an empty index,
+// scanStore returns a store over the open log f with an empty index,
 // for driving scanLocked directly.
-func scanStore(t *testing.T, path string) *Store {
+func scanStore(f *os.File) *Store {
+	return &Store{dir: filepath.Dir(f.Name()), log: f, index: map[uint64]span{}}
+}
+
+// openLog opens the log at path for reading until the test ends or the
+// caller closes it.
+func openLog(t *testing.T, path string) *os.File {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	return &Store{dir: filepath.Dir(path), log: f, index: map[uint64]span{}}
+	return f
 }
 
 // TestScanLeavesCutTailOpen cuts the log's last record after k bytes,
@@ -431,8 +437,9 @@ func TestScanLeavesCutTailOpen(t *testing.T) {
 		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		f := openLog(t, path)
 		for _, open := range []bool{true, false} {
-			s := scanStore(t, path)
+			s := scanStore(f)
 			resume := s.scanLocked(0, int64(len(log)), open)
 			wantResume, wantErrs := int64(len(first)), int64(0)
 			if !open {
@@ -444,11 +451,12 @@ func TestScanLeavesCutTailOpen(t *testing.T) {
 			}
 		}
 		appendRaw(t, filepath.Dir(path), last[k:])
-		s := scanStore(t, path)
+		s := scanStore(f)
 		s.scanLocked(s.scanLocked(0, int64(len(log)), true), int64(len(first)+len(last)), true)
 		if sp, ok := s.index[prefix(key("last").id())]; !ok || sp.off != int64(len(first)) || s.diskErr.Load() != 0 {
 			t.Fatalf("k=%d: completed record at %+v (indexed %v), errors=%d", k, sp, ok, s.diskErr.Load())
 		}
+		f.Close()
 	}
 }
 
@@ -483,20 +491,21 @@ func TestScanMatchesReference(t *testing.T) {
 			to += 1 + rng.Int63n(64) // the log ends before the scan does
 		}
 		mid := rng.Int63n(to + 1)
+		f := openLog(t, path)
 		for _, open := range []bool{true, false} {
-			s := scanStore(t, path)
+			s := scanStore(f)
 			resume := []int64{s.scanLocked(0, to, open)}
 			refIndex := map[uint64]span{}
-			refResume, refErrs := refScan(s.log, refIndex, 0, to, open)
+			refResume, refErrs := refScan(f, refIndex, 0, to, open)
 			want := []int64{refResume}
 
 			// The same log, scanned open up to mid and resumed.
-			s2 := scanStore(t, path)
+			s2 := scanStore(f)
 			r := s2.scanLocked(0, mid, true)
 			resume = append(resume, r, s2.scanLocked(r, to, open))
 			refIndex2 := map[uint64]span{}
-			rr, e1 := refScan(s.log, refIndex2, 0, mid, true)
-			rr2, e2 := refScan(s.log, refIndex2, rr, to, open)
+			rr, e1 := refScan(f, refIndex2, 0, mid, true)
+			rr2, e2 := refScan(f, refIndex2, rr, to, open)
 			want = append(want, rr, rr2)
 
 			if !slices.Equal(resume, want) || s.diskErr.Load() != refErrs || s2.diskErr.Load() != e1+e2 ||
@@ -506,6 +515,7 @@ func TestScanMatchesReference(t *testing.T) {
 					want, refErrs, e1+e2, len(refIndex), len(refIndex2))
 			}
 		}
+		f.Close()
 	}
 }
 
