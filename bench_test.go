@@ -264,9 +264,12 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkAnneal times one default-schedule anneal, a fresh seed per
-// run, as a seeded anneal request compiles it.
+// run, as a seeded anneal request compiles it. Past miss-search's
+// models, hubbard:4x4 (97 nodes) spans two ancestor words and
+// molecule:12 (1,698 terms) 27 parity words.
 func BenchmarkAnneal(b *testing.B) {
-	benchSearch(b, missSearchModels, core.Anneal, func(i int) core.Options { return core.Options{Seed: int64(i + 1)} })
+	specs := append(missSearchModels[:len(missSearchModels):len(missSearchModels)], "hubbard:4x4", "molecule:12")
+	benchSearch(b, specs, core.Anneal, func(i int) core.Options { return core.Options{Seed: int64(i + 1)} })
 }
 
 func BenchmarkMappingApplyNeutrino(b *testing.B) {

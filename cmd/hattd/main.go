@@ -60,7 +60,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:7707", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "concurrent compile jobs (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", service.DefaultQueueDepth, "pending-job queue depth (submissions beyond it get 429)")
+	queue := flag.Int("queue", service.DefaultQueueDepth, "pending-job queue depth; new work sheds with 429 at 7/8 of it")
 	storeCap := flag.Int("store-cap", store.DefaultCapacity, "in-memory result-store entries (LRU-evicted)")
 	storeDir := flag.String("store-dir", "", "enable the on-disk result-store tier rooted at this directory")
 	maxModes := flag.Int("max-modes", service.DefaultMaxModes, "largest model a request may name")
