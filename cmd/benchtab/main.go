@@ -5,7 +5,7 @@
 //	benchtab -table 1          # Table I  (electronic structure)
 //	benchtab -table 2          # Table II (Fermi–Hubbard)
 //	benchtab -table 3          # Table III (neutrino oscillations)
-//	benchtab -table 4          # Table IV (tetris-lite routing)
+//	benchtab -table 4          # Table IV (tetris-lite routing via pkg/compiler WithDevice)
 //	benchtab -table 5          # Table V  (rustiq-lite synthesis)
 //	benchtab -table 6          # Table VI (HATT unopt vs opt)
 //	benchtab -figure 10        # noisy-simulation heat maps
@@ -22,9 +22,12 @@
 // other flag is set. Only -perf reads -json, so any other run exits 2
 // when it is set.
 //
-// Mapping construction inside every table goes through the pkg/compiler
-// registry, so the columns stay in lockstep with what `hattc -list`
-// reports.
+// Tables and figures that report mapping quality build their mappings
+// through the pkg/compiler registry, so the columns stay in lockstep with
+// what `hattc -list` reports; Table IV also routes through the facade.
+// Experiments that time a construction or read its tree (Table VI,
+// Figure 12, the beam, tie-break and cache ablations and the -perf kernel
+// suite) call internal/core directly.
 package main
 
 import (
@@ -51,9 +54,6 @@ func main() {
 	maxN := flag.Int("max-n", 20, "figure 12 maximum size")
 	fhMaxN := flag.Int("fh-max-n", 5, "figure 12 maximum FH size")
 	ablation := flag.String("ablation", "", "run an ablation study: beam | ordering | cache | tiebreak")
-	routed := flag.Bool("routed", false, "Table-IV-style routed comparison through pkg/compiler WithDevice")
-	routedDevices := flag.String("devices", strings.Join(bench.DefaultRoutedDevices, ","), "with -routed: comma-separated device specs")
-	routedMethods := flag.String("methods", strings.Join(bench.DefaultRoutedMethods, ","), "with -routed: comma-separated mapping methods")
 	perf := flag.Bool("perf", false, "run the hot-path kernel suite")
 	jsonPath := flag.String("json", "", "with -perf: also write the kernel report as JSON to this path (BENCH_*.json); an error without -perf")
 	summary := flag.Bool("summary", false, "print the headline HATT-vs-baseline reductions across Tables I-III")
@@ -164,14 +164,6 @@ func main() {
 		return
 	}
 	switch {
-	case *routed:
-		rows, err := bench.RoutedComparison(opt,
-			strings.Split(*routedDevices, ","), strings.Split(*routedMethods, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		bench.PrintRouted(w, rows)
 	case *perf:
 		rep := bench.PerfSuite()
 		bench.PrintKernels(w, rep.Kernels)

@@ -68,8 +68,6 @@ func run() error {
 	jobTimeout := flag.Duration("job-timeout", service.DefaultMaxJobTime, "ceiling on any async job's compile time")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent synchronous compiles before shedding 429 (0 = 4×GOMAXPROCS)")
-	ledgerEps := flag.Float64("portfolio-epsilon", store.DefaultLedgerEpsilon,
-		"portfolio ledger exploration rate in [0,1] (0 = always launch the best-ranked method first)")
 	faultPlan := flag.String("fault-plan", "", "arm a failpoint injection plan (chaos testing; also "+fault.EnvVar+" env)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug | info | warn | error")
 	logFormat := flag.String("log-format", "json", "structured log format: json | text")
@@ -116,7 +114,7 @@ func run() error {
 	if *storeDir != "" {
 		ledgerPath = filepath.Join(*storeDir, "portfolio_ledger.json")
 	}
-	ledger, err := store.OpenLedger(ledgerPath, *ledgerEps)
+	ledger, err := store.OpenLedger(ledgerPath, store.DefaultLedgerEpsilon)
 	if err != nil {
 		return err
 	}

@@ -96,7 +96,8 @@ func OrderingAblation(opt Options) []OrderingAblationRow {
 			continue
 		}
 		mh := c.Build().Majorana(1e-12)
-		hq := search(core.Build, mh, core.Options{}).Mapping.Apply(mh)
+		m, _, _ := buildMapping("HATT", c.Modes, mh, opt)
+		hq := m.Apply(mh)
 		row := OrderingAblationRow{Case: c.Name, Modes: c.Modes}
 		for _, o := range orders {
 			cc := circuit.Compile(hq, o.ord)
@@ -193,24 +194,13 @@ type CacheAblationRow struct {
 // (asserted in tests). The delta is the lookup cost plus Build's score
 // table: BuildUncached re-scores every candidate at every step.
 func CacheAblation(opt Options) []CacheAblationRow {
-	minTime := func(f func()) time.Duration {
-		var best time.Duration
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			f()
-			if d := time.Since(t0); rep == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	var rows []CacheAblationRow
 	for n := 4; n <= opt.MaxN; n += 4 {
 		mh := allMajoranaSum(n)
 		rows = append(rows, CacheAblationRow{
 			Modes:    n,
-			Cached:   minTime(func() { search(core.Build, mh, core.Options{}) }),
-			Uncached: minTime(func() { core.BuildUncached(mh) }),
+			Cached:   minOf3(func() { search(core.Build, mh, core.Options{}) }),
+			Uncached: minOf3(func() { core.BuildUncached(mh) }),
 		})
 	}
 	return rows

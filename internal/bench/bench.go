@@ -74,7 +74,9 @@ var tableSpecs = map[string]string{
 }
 
 // buildMapping constructs one named mapping for an n-mode Hamiltonian via
-// the pkg/compiler facade.
+// the pkg/compiler facade. Every experiment that reports only mapping
+// quality takes its mappings from here; one that times a construction or
+// reads its tree calls internal/core through search.
 func buildMapping(name string, n int, mh *fermion.MajoranaHamiltonian, opt Options) (*mapping.Mapping, bool, bool) {
 	spec, ok := tableSpecs[name]
 	if !ok {
@@ -203,6 +205,19 @@ func search[R any](run func(context.Context, *fermion.MajoranaHamiltonian, core.
 		panic(err)
 	}
 	return r
+}
+
+// minOf3 returns the fastest of three runs of f.
+func minOf3(f func()) time.Duration {
+	var best time.Duration
+	for rep := 0; rep < 3; rep++ {
+		t0 := time.Now()
+		f()
+		if d := time.Since(t0); rep == 0 || d < best {
+			best = d
+		}
+	}
+	return best
 }
 
 // Table6 regenerates the HATT(unopt)-vs-HATT comparison for every catalog

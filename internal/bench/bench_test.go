@@ -93,18 +93,55 @@ func TestTable4Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 { // 2 molecules × 3 devices
-		t.Fatalf("rows = %d, want 6", len(rows))
+	if len(rows) != 12 { // 2 molecules × 3 devices × 2 methods
+		t.Fatalf("rows = %d, want 12", len(rows))
 	}
 	for _, r := range rows {
-		if r.JW.CNOTs <= 0 || r.HATT.CNOTs <= 0 {
-			t.Errorf("%s/%s: empty metrics", r.Device, r.Case)
+		if r.CNOTs <= 0 || r.Depth <= 0 || r.Weight <= 0 {
+			t.Errorf("degenerate row %+v", r)
 		}
 	}
 	var buf bytes.Buffer
 	PrintTable4(&buf, rows)
 	if !strings.Contains(buf.String(), "Manhattan") {
 		t.Error("printout missing device")
+	}
+}
+
+// TestRoutedComparison checks that Table IV routes every case with both
+// methods onto each of the paper's three devices through the facade.
+func TestRoutedComparison(t *testing.T) {
+	opt := DefaultOptions()
+	opt.MaxModes = 6
+	rows, err := Table4(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	cases := map[string]bool{}
+	for _, r := range rows {
+		seen[r.Case+"/"+r.Device+"/"+r.Method] = true
+		cases[r.Case] = true
+		if r.CNOTs <= 0 || r.Depth <= 0 || r.Weight <= 0 {
+			t.Errorf("degenerate row %+v", r)
+		}
+	}
+	if len(cases) == 0 {
+		t.Fatal("no rows")
+	}
+	for c := range cases {
+		for _, dev := range []string{"Manhattan", "Sycamore", "Montreal"} {
+			for _, method := range []string{"jw", "hatt"} {
+				if !seen[c+"/"+dev+"/"+method] {
+					t.Errorf("%s: no %s row on %s", c, method, dev)
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	PrintTable4(&buf, rows)
+	if !strings.Contains(buf.String(), "Montreal") {
+		t.Error("printout missing device column")
 	}
 }
 

@@ -25,17 +25,15 @@ type Figure10Cell struct {
 	Variance float64
 }
 
-// figureMappings builds the Fig. 10/11 mapping set for a Hamiltonian.
+// figureMappings builds the Fig. 10/11 mapping set for a Hamiltonian in
+// MappingNames order, leaving FH out above opt.FHMaxModes.
 func figureMappings(n int, mh *fermion.MajoranaHamiltonian, opt Options) []*mapping.Mapping {
-	ms := []*mapping.Mapping{
-		mapping.JordanWigner(n),
-		mapping.BravyiKitaev(n),
-		mapping.BalancedTernaryTree(n),
+	var ms []*mapping.Mapping
+	for _, name := range MappingNames {
+		if m, _, skip := buildMapping(name, n, mh, opt); !skip {
+			ms = append(ms, m)
+		}
 	}
-	if opt.FHMaxModes == 0 || n <= opt.FHMaxModes {
-		ms = append(ms, search(core.Exhaustive, mh, core.Options{MaxVisits: opt.FHBudget}).Mapping)
-	}
-	ms = append(ms, search(core.Build, mh, core.Options{}).Mapping)
 	return ms
 }
 
@@ -232,17 +230,6 @@ func allMajoranaSum(n int) *fermion.MajoranaHamiltonian {
 // (Algorithms 2+3) at increasing sizes.
 func Figure12(opt Options) []Figure12Row {
 	var rows []Figure12Row
-	minOf3 := func(f func()) time.Duration {
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			f()
-			if d := time.Since(t0); rep == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
 	for n := 2; n <= opt.MaxN; n++ {
 		mh := allMajoranaSum(n)
 		row := Figure12Row{Modes: n}

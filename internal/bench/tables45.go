@@ -1,32 +1,28 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"repro/internal/arch"
 	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/fermion"
-	"repro/internal/mapping"
 	"repro/internal/models"
+	"repro/pkg/compiler"
 )
 
-// WorkflowMetric is one (mapping, pass) outcome for Tables IV and V.
-type WorkflowMetric struct {
-	CNOTs int
-	U3s   int
-	Depth int
-}
-
-// Table4Row reports JW-vs-HATT after the tetris-lite routing pass on one
-// device.
-type Table4Row struct {
+// RoutedRow is one (device, case, method) cell of Table IV, produced
+// through the pkg/compiler facade's device-aware path (WithDevice), so the
+// table measures exactly what the public API serves.
+type RoutedRow struct {
 	Device string
 	Case   string
 	Modes  int
-	JW     WorkflowMetric
-	HATT   WorkflowMetric
+	Method string
+	Weight int
+	Swaps  int
+	CNOTs  int
+	U3s    int
+	Depth  int
 }
 
 // table45Catalog is the molecule subset used for the workflow tables:
@@ -47,58 +43,56 @@ func table45Catalog(opt Options) []models.Case {
 	return out
 }
 
-func jwAndHATT(c models.Case) (*fermion.MajoranaHamiltonian, *mapping.Mapping, *mapping.Mapping) {
-	mh := c.Build().Majorana(1e-12)
-	return mh, mapping.JordanWigner(c.Modes), search(core.Build, mh, core.Options{}).Mapping
-}
-
-// Table4 regenerates the Tetris-on-architecture comparison: circuits for
-// the JW and HATT mappings are routed onto Manhattan, Sycamore, and
-// Montreal with the tetris-lite pass.
-func Table4(opt Options) ([]Table4Row, error) {
-	devices := []*arch.Device{arch.Manhattan(), arch.Sycamore(), arch.Montreal()}
-	var rows []Table4Row
+// Table4 regenerates the Tetris-on-architecture comparison: every catalog
+// case is compiled with JW and HATT and routed onto Manhattan, Sycamore
+// and Montreal with the tetris-lite pass, via compiler.Compile +
+// WithDevice.
+func Table4(opt Options) ([]RoutedRow, error) {
+	ctx := context.Background()
+	var rows []RoutedRow
 	for _, c := range table45Catalog(opt) {
-		mh, jw, hatt := jwAndHATT(c)
-		for _, d := range devices {
-			if c.Modes > d.N {
-				continue
-			}
-			row := Table4Row{Device: d.Name, Case: c.Name, Modes: c.Modes}
-			for i, m := range []*mapping.Mapping{jw, hatt} {
-				logical := circuit.Compile(m.Apply(mh), circuit.OrderLexicographic)
-				res, err := arch.Route(logical, d)
+		mh := c.Build().Majorana(1e-12)
+		for _, dev := range []string{"manhattan", "sycamore", "montreal"} {
+			for _, method := range []string{"jw", "hatt"} {
+				res, err := compiler.Compile(ctx, method, mh, compiler.WithDevice(dev))
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("bench: %s/%s on %s: %w", c.Name, method, dev, err)
 				}
-				wm := WorkflowMetric{
-					CNOTs: res.Circuit.CNOTCount(),
-					U3s:   res.Circuit.SingleCount(),
-					Depth: res.Circuit.Depth(),
-				}
-				if i == 0 {
-					row.JW = wm
-				} else {
-					row.HATT = wm
-				}
+				r := res.Routed
+				rows = append(rows, RoutedRow{
+					Device: r.Device,
+					Case:   c.Name,
+					Modes:  c.Modes,
+					Method: method,
+					Weight: res.PredictedWeight,
+					Swaps:  r.SwapsAdded,
+					CNOTs:  r.CNOTs,
+					U3s:    r.Singles,
+					Depth:  r.Depth,
+				})
 			}
-			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-// PrintTable4 renders the routed-workflow comparison.
-func PrintTable4(w io.Writer, rows []Table4Row) {
+// PrintTable4 renders the routed comparison, one row per method.
+func PrintTable4(w io.Writer, rows []RoutedRow) {
 	fmt.Fprintln(w, "== Table IV: tetris-lite routing on Manhattan / Sycamore / Montreal (JW vs HATT) ==")
-	fmt.Fprintf(w, "%-10s %-16s %5s | %8s %8s | %8s %8s | %8s %8s\n",
-		"Device", "Case", "Modes", "CX(JW)", "CX(HA)", "U3(JW)", "U3(HA)", "D(JW)", "D(HA)")
+	fmt.Fprintf(w, "%-10s %-16s %5s %-10s | %8s %8s %8s %8s %8s\n",
+		"Device", "Case", "Modes", "Method", "Weight", "Swaps", "CX", "U3", "Depth")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-16s %5d | %8d %8d | %8d %8d | %8d %8d\n",
-			r.Device, r.Case, r.Modes,
-			r.JW.CNOTs, r.HATT.CNOTs, r.JW.U3s, r.HATT.U3s, r.JW.Depth, r.HATT.Depth)
+		fmt.Fprintf(w, "%-10s %-16s %5d %-10s | %8d %8d %8d %8d %8d\n",
+			r.Device, r.Case, r.Modes, r.Method, r.Weight, r.Swaps, r.CNOTs, r.U3s, r.Depth)
 	}
 	fmt.Fprintln(w)
+}
+
+// WorkflowMetric is one (mapping, pass) outcome for Table V.
+type WorkflowMetric struct {
+	CNOTs int
+	U3s   int
+	Depth int
 }
 
 // Table5Row reports JW-vs-HATT under the rustiq-lite synthesis pass.
@@ -117,18 +111,13 @@ func Table5(opt Options) []Table5Row {
 		if c.Modes > 14 {
 			continue // greedy chaining is quadratic in term count
 		}
-		mh, jw, hatt := jwAndHATT(c)
-		row := Table5Row{Case: c.Name, Modes: c.Modes}
-		for i, m := range []*mapping.Mapping{jw, hatt} {
+		mh := c.Build().Majorana(1e-12)
+		synthesize := func(name string) WorkflowMetric {
+			m, _, _ := buildMapping(name, c.Modes, mh, opt)
 			cc := circuit.SynthesizeRustiq(m.Apply(mh), 1.0)
-			wm := WorkflowMetric{CNOTs: cc.CNOTCount(), U3s: cc.SingleCount(), Depth: cc.Depth()}
-			if i == 0 {
-				row.JW = wm
-			} else {
-				row.HATT = wm
-			}
+			return WorkflowMetric{CNOTs: cc.CNOTCount(), U3s: cc.SingleCount(), Depth: cc.Depth()}
 		}
-		rows = append(rows, row)
+		rows = append(rows, Table5Row{Case: c.Name, Modes: c.Modes, JW: synthesize("JW"), HATT: synthesize("HATT")})
 	}
 	return rows
 }

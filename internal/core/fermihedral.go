@@ -33,62 +33,52 @@ type ExhaustiveResult struct {
 // (nil, ctx.Err()) is returned.
 func Exhaustive(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*ExhaustiveResult, error) {
 	p := newProblem(mh)
-	n := p.n
-	s := &exhaustiveState{
-		ctx:       ctx,
-		p:         p,
-		bits:      make([]termBits, 3*n+1),
-		u:         make([]int, 2*n+1),
-		merges:    make([][3]int, n),
-		best:      int(^uint(0) >> 1),
-		maxVisits: opts.MaxVisits,
-	}
-	for id := 0; id <= 2*n; id++ {
-		s.bits[id] = p.leafBits[id]
-		s.u[id] = id
-	}
 	// Seed with the greedy Algorithm-1 solution: guarantees a result even
 	// under a visit budget and tightens the branch-and-bound from the start.
 	seed, err := buildUnoptScan(ctx, p, Options{})
 	if err != nil {
 		return nil, err
 	}
-	s.best = seed.predicted + 1 // strict bound: keep seed unless beaten
-	s.bestMerges = make([][3]int, len(seed.log))
-	copy(s.bestMerges, seed.log)
-	s.dfs(0, 0)
+	s := &exhaustiveState{
+		ctx:       ctx,
+		b:         newBuilder(p),
+		us:        make([]int, p.n*(2*p.n+1)),
+		best:      seed.predicted + 1, // admits the first search result that ties the seed
+		incumbent: seed,
+		maxVisits: opts.MaxVisits,
+	}
+	s.dfs(0)
 	if s.cancelled {
 		return nil, ctx.Err()
 	}
-	s.complete = !s.exhausted
-
 	name := "FH"
-	if !s.complete {
+	if s.exhausted {
 		name = "FH*"
 	}
 	return &ExhaustiveResult{
-		Result:  *rebuild(p, s.bestMerges).result(name),
-		Optimal: s.complete,
+		Result:  *s.incumbent.result(name),
+		Optimal: !s.exhausted,
 		Visited: s.visited,
 	}, nil
 }
 
+// exhaustiveState is the depth-first search over one builder: each branch
+// merges, recurses and undoes the merge.
 type exhaustiveState struct {
-	ctx        context.Context
-	p          *problem
-	bits       []termBits
-	u          []int
-	merges     [][3]int
-	best       int
-	bestMerges [][3]int
-	visited    int64
-	maxVisits  int64
-	complete   bool
-	exhausted  bool
-	cancelled  bool
+	ctx context.Context
+	b   *builder
+	// us holds in row step, of width 2N+1, the active set on entry to
+	// step, which the step's loops scan and every undo restores.
+	us        []int
+	best      int      // the bound: the incumbent's weight, plus one for the seed
+	incumbent *builder // the best complete construction found
+	visited   int64
+	maxVisits int64
+	exhausted bool
+	cancelled bool
 }
 
-func (s *exhaustiveState) dfs(step, acc int) {
+func (s *exhaustiveState) dfs(step int) {
 	if s.exhausted || s.cancelled {
 		return
 	}
@@ -101,51 +91,35 @@ func (s *exhaustiveState) dfs(step, acc int) {
 		s.exhausted = true
 		return
 	}
-	n := s.p.n
-	if step == n {
-		if acc < s.best {
-			s.best = acc
-			s.bestMerges = make([][3]int, n)
-			copy(s.bestMerges, s.merges)
+	b := s.b
+	if step == b.p.n {
+		if b.predicted < s.best {
+			s.best = b.predicted
+			s.incumbent = b.clone()
 		}
 		return
 	}
-	u := s.u
-	pid := 2*n + 1 + step
+	acc := b.predicted
+	u := s.us[step*(2*b.p.n+1):][:len(b.u)]
+	copy(u, b.u)
 	for ai := 0; ai < len(u); ai++ {
-		if ai > 0 && bitsEqual(s.bits[u[ai]], s.bits[u[ai-1]]) {
+		if ai > 0 && bitsEqual(b.bits[u[ai]], b.bits[u[ai-1]]) {
 			continue // interchangeable with the previous first pick
 		}
 		for bi := ai + 1; bi < len(u); bi++ {
-			if bi > ai+1 && bitsEqual(s.bits[u[bi]], s.bits[u[bi-1]]) {
+			if bi > ai+1 && bitsEqual(b.bits[u[bi]], b.bits[u[bi-1]]) {
 				continue
 			}
 			for ci := bi + 1; ci < len(u); ci++ {
-				if ci > bi+1 && bitsEqual(s.bits[u[ci]], s.bits[u[ci-1]]) {
+				if ci > bi+1 && bitsEqual(b.bits[u[ci]], b.bits[u[ci-1]]) {
 					continue
 				}
-				ox, oy, oz := u[ai], u[bi], u[ci]
-				w := settledWeight(s.bits[ox], s.bits[oy], s.bits[oz])
-				if acc+w >= s.best {
+				if acc+settledWeight(b.bits[u[ai]], b.bits[u[bi]], b.bits[u[ci]]) >= s.best {
 					continue // bound: settled weight only grows
 				}
-				// Apply merge.
-				pb := newTermBits(s.p.words)
-				for k := range pb {
-					pb[k] = s.bits[ox][k] ^ s.bits[oy][k] ^ s.bits[oz][k]
-				}
-				s.bits[pid] = pb
-				s.merges[step] = [3]int{ox, oy, oz}
-				newU := make([]int, 0, len(u)-2)
-				for _, v := range u {
-					if v != ox && v != oy && v != oz {
-						newU = append(newU, v)
-					}
-				}
-				newU = append(newU, pid)
-				s.u = newU
-				s.dfs(step+1, acc+w)
-				s.u = u
+				b.merge(step, u[ai], u[bi], u[ci])
+				s.dfs(step + 1)
+				b.undo(u, acc)
 				if s.exhausted || s.cancelled {
 					return
 				}

@@ -230,8 +230,8 @@ func ResetBuildCache() {}
 
 // BuildUncached runs Algorithm 2 *without* the Algorithm 3 caches: the
 // Z-descendant and ancestor lookups walk the tree explicitly, giving the
-// O(N⁴) variant whose runtime Figure 12 compares against. The produced
-// mapping is identical to Build's.
+// O(N⁴) variant that the cache ablation times against Build. The
+// produced mapping is identical to Build's.
 func BuildUncached(mh *fermion.MajoranaHamiltonian) *Result {
 	p := newProblem(mh)
 	b := newBuilder(p)

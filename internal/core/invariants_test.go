@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,33 @@ func TestBuildInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuilderUndoRestoresState: undoing a merge restores the active
+// set, the Z-descendant's ancestor in U, the log and the predicted
+// weight, so a search can backtrack over one builder. Each trial walks a
+// random merge path and checks every merge on it.
+func TestBuilderUndoRestoresState(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + r.Intn(5)
+		b := newBuilder(newProblem(randomFermionic(n, 3*n, int64(trial))))
+		for step := 0; step < n; step++ {
+			u := append([]int(nil), b.u...)
+			mup := append([]int(nil), b.mup...)
+			log := append([][3]int(nil), b.log...)
+			predicted := b.predicted
+			pick := r.Perm(len(u))[:3]
+			b.merge(step, u[pick[0]], u[pick[1]], u[pick[2]])
+			b.undo(u, predicted)
+			if !slices.Equal(b.u, u) || !slices.Equal(b.mup, mup) || !slices.Equal(b.log, log) || b.predicted != predicted {
+				t.Fatalf("trial %d step %d: undo left u %v mup %v log %v predicted %d, want %v %v %v %d",
+					trial, step, b.u, b.mup, b.log, b.predicted, u, mup, log, predicted)
+			}
+			pick = r.Perm(len(u))[:3]
+			b.merge(step, u[pick[0]], u[pick[1]], u[pick[2]])
+		}
 	}
 }
 

@@ -137,9 +137,10 @@ func (p *problem) evaluateTree(t *tree.Tree) int {
 }
 
 // builder holds the bottom-up construction state shared by every
-// search in this package: Algorithm 1, Algorithm 2+3, and each entry of
-// a beam. It records merges and assembles the tree only in finish, so a
-// beam entry is a clone.
+// search in this package: Algorithm 1, Algorithm 2+3, each entry of a
+// beam, and the exhaustive search, which backtracks with undo. It
+// records merges and assembles the tree only in finish, so a beam entry
+// is a clone.
 type builder struct {
 	p *problem
 	// bits maps node ID to its term bitset (active and historical). A
@@ -171,15 +172,6 @@ func newBuilder(p *problem) *builder {
 		b.u[id] = id
 		b.mdown[id] = id
 		b.mup[id] = id
-	}
-	return b
-}
-
-// rebuild replays a merge schedule through a fresh builder.
-func rebuild(p *problem, merges [][3]int) *builder {
-	b := newBuilder(p)
-	for i, m := range merges {
-		b.merge(i, m[0], m[1], m[2])
 	}
 	return b
 }
@@ -268,6 +260,18 @@ func (b *builder) merge(i, ox, oy, oz int) {
 	b.mup[zd] = pid
 
 	b.log = append(b.log, [3]int{ox, oy, oz})
+}
+
+// undo reverts the last merge, given the active set u and the
+// accumulated weight predicted from before it. The new parent's bitset
+// and Z-descendant stay behind, unreachable until a merge at the same
+// step overwrites them.
+func (b *builder) undo(u []int, predicted int) {
+	oz := b.log[len(b.log)-1][2]
+	b.mup[b.mdown[oz]] = oz
+	b.log = b.log[:len(b.log)-1]
+	b.u = append(b.u[:0], u...)
+	b.predicted = predicted
 }
 
 // finish assembles the completed tree from the merge log once U has

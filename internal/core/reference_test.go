@@ -611,6 +611,25 @@ func TestAnnealAllocs(t *testing.T) {
 	}
 }
 
+// TestExhaustiveAllocs gates a 50,000-visit exhaustive search on
+// hubbard:2x2: the search backtracks over one builder, so what allocates
+// is the parent bitset of each merge, about one per visit.
+func TestExhaustiveAllocs(t *testing.T) {
+	if annotations.RaceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	mh := boundTestModel(t, "hubbard:2x2")
+	ctx := context.Background()
+	n := testing.AllocsPerRun(1, func() {
+		if _, err := Exhaustive(ctx, mh, Options{MaxVisits: 50_000}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 60_000 {
+		t.Fatalf("Exhaustive on hubbard:2x2 allocates %.0f/op, want ≤ 60000", n)
+	}
+}
+
 // TestBuildAllocs gates one hubbard:3x3 Build: the score table is one
 // allocation, so what allocates is the problem, one parent bitset per
 // merge and the finished tree and mapping.

@@ -32,9 +32,6 @@ func NewDense(n int) *Dense {
 // At returns element (r,c).
 func (d *Dense) At(r, c int) complex128 { return d.Data[r*d.N+c] }
 
-// Set assigns element (r,c).
-func (d *Dense) Set(r, c int, v complex128) { d.Data[r*d.N+c] = v }
-
 // AddAt accumulates v into element (r,c).
 func (d *Dense) AddAt(r, c int, v complex128) { d.Data[r*d.N+c] += v }
 

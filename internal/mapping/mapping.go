@@ -128,7 +128,7 @@ func (m *Mapping) HamiltonianWeight(mh *fermion.MajoranaHamiltonian) int {
 // FromTreePaired builds a mapping from any complete ternary tree using the
 // canonical vacuum-preserving leaf pairing (used by the BTT baseline).
 func FromTreePaired(name string, t *tree.Tree) *Mapping {
-	assign := t.MajoranaAssignment(t.CanonicalPairing())
+	assign := t.MajoranaAssignment()
 	ss := t.AllStrings()
 	mj := make([]pauli.String, 2*t.N)
 	for i, leafID := range assign {

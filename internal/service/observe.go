@@ -31,9 +31,6 @@ func WithObservability(reg *obs.Registry, tracer *obs.Tracer) APIOption {
 // NewAPI) so the daemon can register process-level collectors on it.
 func (a *API) Registry() *obs.Registry { return a.reg }
 
-// Tracer exposes the API's trace buffer (always non-nil after NewAPI).
-func (a *API) Tracer() *obs.Tracer { return a.tracer }
-
 // MetricsHandler serves the registry in Prometheus text exposition
 // format; hattd mounts it at GET /metrics beside the /v1 surface.
 func (a *API) MetricsHandler() http.Handler { return a.reg.Handler() }

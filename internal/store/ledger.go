@@ -189,7 +189,7 @@ func (l *Ledger) Rank(shape string, specs []string) []string {
 // allocation-free generator good enough for exploration dice.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b5
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }

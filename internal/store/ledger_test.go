@@ -106,6 +106,19 @@ func TestLedgerRankDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitmix64Constants pins the ledger's exploration dice to the
+// standard SplitMix64 output for the first two inputs.
+func TestSplitmix64Constants(t *testing.T) {
+	for _, tc := range []struct{ in, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{1, 0x910a2dec89025cc1},
+	} {
+		if got := splitmix64(tc.in); got != tc.want {
+			t.Errorf("splitmix64(%d) = %#x, want %#x", tc.in, got, tc.want)
+		}
+	}
+}
+
 // TestLedgerRankExplores proves epsilon actually bites: across many
 // ledger states, a fully-exploring ledger must sometimes front a spec
 // the greedy order would not.

@@ -216,11 +216,11 @@ func (t *Tree) CanonicalPairing() Pairing {
 }
 
 // MajoranaAssignment returns, for each Majorana index 0..2N-1, the leaf ID
-// whose string realizes it, built from a pairing: each (X-side, Y-side)
-// pair becomes (M_2l, M_2l+1) in discovery order. The discarded leaf is
-// unassigned. The X-side (even) member of each pair is the one whose letter
-// on the pair qubit is X.
-func (t *Tree) MajoranaAssignment(p Pairing) []int {
+// whose string realizes it, following the canonical pairing: each
+// (X-side, Y-side) pair becomes (M_2l, M_2l+1) in discovery order. The
+// discarded leaf is unassigned. The X-side (even) member of each pair is
+// the one whose letter on the pair qubit is X.
+func (t *Tree) MajoranaAssignment() []int {
 	assign := make([]int, 2*t.N)
 	next := 0
 	var visit func(n *Node) *Node

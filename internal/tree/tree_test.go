@@ -214,7 +214,7 @@ func TestCanonicalPairingProperties(t *testing.T) {
 func TestMajoranaAssignment(t *testing.T) {
 	tr := Balanced(5)
 	p := tr.CanonicalPairing()
-	assign := tr.MajoranaAssignment(p)
+	assign := tr.MajoranaAssignment()
 	if len(assign) != 10 {
 		t.Fatalf("assignment length %d", len(assign))
 	}
