@@ -10,7 +10,7 @@
 //	hattc -model hubbard:3x3 -mapping jw
 //	hattc -model neutrino:4x2 -mapping btt
 //	hattc -model molecule:12 -mapping hatt -compare
-//	hattc -model hubbard:2x2 -mapping fh -fh-budget 2000000
+//	hattc -model hubbard:2x2 -mapping fh:2000000
 //	hattc -model hubbard:3x3 -mapping anneal -timeout 5s -progress
 //	hattc -m h2 -method hatt -device montreal
 //	hattc -m h2 -device-file ring6.json -qasm routed.qasm
@@ -55,20 +55,19 @@ func run() error {
 	model := flag.String("model", "h2", "model spec: "+models.SpecHelp)
 	flag.StringVar(model, "m", "h2", "short for -model")
 	input := flag.String("input", "", "read the fermionic Hamiltonian from a JSON file instead of -model")
-	method := flag.String("mapping", "hatt", "mapping method spec: "+strings.Join(compiler.Methods(), " | ")+" (beam:<width>, fh:<budget>)")
+	method := flag.String("mapping", "hatt", "mapping method spec: "+strings.Join(compiler.Methods(), " | ")+" (beam:<width ≤ 4096>, fh:<visit budget>, fh:0 = unlimited)")
 	flag.StringVar(method, "method", "hatt", "short for -mapping")
 	device := flag.String("device", "", "route onto this catalog device: manhattan | sycamore | montreal | linear:<n> | grid:<r>x<c>")
 	deviceFile := flag.String("device-file", "", "route onto a custom device loaded from this JSON edge-list file")
 	showStrings := flag.Bool("strings", false, "print the Majorana Pauli strings")
 	compare := flag.Bool("compare", false, "compare all mappings on this model")
-	fhBudget := flag.Int64("fh-budget", 2_000_000, "exhaustive search visit budget for -mapping fh")
 	trotter := flag.Int("trotter", 1, "Trotter steps for the compiled circuit")
 	order := flag.String("order", "lex", "Trotter term order: natural | lex | greedy")
 	qasmOut := flag.String("qasm", "", "write the compiled circuit as OpenQASM 2.0 to this file ('-' for stdout); with a device set this is the routed circuit")
 	doTaper := flag.Bool("taper", false, "additionally report the Z2-tapered Hamiltonian (small systems only)")
 	timeout := flag.Duration("timeout", 0, "abort compilation after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "print search progress to stderr")
-	list := flag.Bool("list", false, "list the registered mapping methods (and the service/store options) and exit")
+	list := flag.Bool("list", false, "list the registered mapping methods and the device catalog and exit")
 	watch := flag.String("watch", "", "watch a daemon job: poll its status and print best-so-far weight/method lines as they improve")
 	daemon := flag.String("daemon", "http://127.0.0.1:7707", "base URL of the hattd daemon -watch polls")
 	storeDir := flag.String("store-dir", "", "reuse compiled mappings from this content-addressed store directory (shared with hattd -store-dir)")
@@ -113,12 +112,6 @@ func run() error {
 				fmt.Printf("  %-14s %s\n", in.Spec, in.Description)
 			}
 		}
-		fmt.Println("store/service options:")
-		fmt.Println("  -store-dir <dir>   content-addressed mapping reuse across runs (keyed by")
-		fmt.Println("                     Hamiltonian fingerprint, method spec, and options digest;")
-		fmt.Println("                     shared with a hattd -store-dir pointing at the same path)")
-		fmt.Println("  -store-cap <n>     LRU capacity of the store's in-memory tier")
-		fmt.Println("  (hattd adds: -addr, -workers, -queue, -max-modes, -timeout, -drain-timeout)")
 		return nil
 	}
 
@@ -172,7 +165,6 @@ func run() error {
 	}
 
 	opts = append(opts,
-		compiler.WithVisitBudget(*fhBudget),
 		compiler.WithTrotterSteps(*trotter),
 		ord,
 	)

@@ -42,7 +42,7 @@ var MappingNames = []string{"JW", "BK", "BTT", "FH", "HATT"}
 type Options struct {
 	MaxModes   int   // skip catalog cases above this size (0 = no limit)
 	FHMaxModes int   // largest case to run the exhaustive FH search on
-	FHBudget   int64 // exhaustive search visit budget (0 = unlimited)
+	FHBudget   int64 // exhaustive search visit budget (≤ 0 = unlimited)
 	Shots      int   // noisy-simulation shots
 	GridSteps  int   // noise grid resolution per axis (Figure 10)
 	MaxN       int   // Figure 12 maximum system size
@@ -82,14 +82,19 @@ func buildMapping(name string, n int, mh *fermion.MajoranaHamiltonian, opt Optio
 	if !ok {
 		panic("bench: unknown mapping " + name)
 	}
-	if spec == "fh" && opt.FHMaxModes > 0 && n > opt.FHMaxModes {
-		return nil, false, true
+	fh := spec == "fh"
+	if fh {
+		if opt.FHMaxModes > 0 && n > opt.FHMaxModes {
+			return nil, false, true
+		}
+		// fh:0, like any budget ≤ 0 in core, is unlimited.
+		spec = fmt.Sprintf("fh:%d", max(0, opt.FHBudget))
 	}
-	res, err := compiler.Compile(context.Background(), spec, mh, compiler.WithVisitBudget(opt.FHBudget))
+	res, err := compiler.Compile(context.Background(), spec, mh)
 	if err != nil {
 		panic("bench: " + name + ": " + err.Error())
 	}
-	approx := spec == "anneal" || (spec == "fh" && !res.Optimal)
+	approx := spec == "anneal" || (fh && !res.Optimal)
 	return res.Mapping, approx, false
 }
 

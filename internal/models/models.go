@@ -16,7 +16,11 @@
 // the Hamiltonian, which these generators preserve.
 package models
 
-import "repro/internal/fermion"
+import (
+	"strconv"
+
+	"repro/internal/fermion"
+)
 
 // Case names a benchmark instance and its generator.
 type Case struct {
@@ -72,7 +76,7 @@ func Hubbard() []Case {
 }
 
 func hubbardName(r, c int) string {
-	return itoa(r) + "x" + itoa(c)
+	return strconv.Itoa(r) + "x" + strconv.Itoa(c)
 }
 
 // Neutrino returns the Table-III catalog.
@@ -82,24 +86,10 @@ func Neutrino() []Case {
 	for _, s := range specs {
 		s := s
 		out = append(out, Case{
-			Name:  itoa(s[0]) + "x" + itoa(s[1]) + "F",
+			Name:  strconv.Itoa(s[0]) + "x" + strconv.Itoa(s[1]) + "F",
 			Modes: 2 * s[0] * s[1],
 			Build: func() *fermion.Hamiltonian { return NeutrinoOscillation(s[0], s[1], 1.0) },
 		})
 	}
 	return out
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

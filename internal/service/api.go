@@ -62,7 +62,6 @@ const (
 	DefaultMaxModes   = 64
 	DefaultTimeout    = 5 * time.Minute
 	maxBodyBytes      = 1 << 20 // 1 MiB request bodies
-	maxBeamWidth      = 4096
 	maxAnnealIters    = 100_000_000
 	maxAnnealRestarts = 4096
 	maxParallelism    = 4096
@@ -300,10 +299,9 @@ func (req *compileRequest) request() Request {
 }
 
 // requestOptions is the JSON mirror of the compiler's result-affecting
-// options plus parallelism.
+// options plus parallelism. The beam width and the fh visit budget are
+// not options: they are part of the method spec ("beam:8", "fh:500000").
 type requestOptions struct {
-	BeamWidth      int     `json:"beam_width,omitempty"`
-	VisitBudget    int64   `json:"visit_budget,omitempty"`
 	AnnealIters    int     `json:"anneal_iters,omitempty"`
 	AnnealTStart   float64 `json:"anneal_t_start,omitempty"`
 	AnnealTEnd     float64 `json:"anneal_t_end,omitempty"`
@@ -320,18 +318,6 @@ func (ro *requestOptions) compilerOptions() ([]compiler.Option, *apiError) {
 		return nil, nil
 	}
 	var opts []compiler.Option
-	switch {
-	case ro.BeamWidth < 0 || ro.BeamWidth > maxBeamWidth:
-		return nil, badRequest("beam_width %d out of range [0, %d]", ro.BeamWidth, maxBeamWidth)
-	case ro.BeamWidth > 0:
-		opts = append(opts, compiler.WithBeamWidth(ro.BeamWidth))
-	}
-	if ro.VisitBudget < 0 {
-		return nil, badRequest("visit_budget %d must be ≥ 0", ro.VisitBudget)
-	}
-	if ro.VisitBudget > 0 {
-		opts = append(opts, compiler.WithVisitBudget(ro.VisitBudget))
-	}
 	switch {
 	case ro.AnnealIters < 0 || ro.AnnealIters > maxAnnealIters:
 		return nil, badRequest("anneal_iters %d out of range [0, %d]", ro.AnnealIters, maxAnnealIters)

@@ -263,8 +263,8 @@ func TestMethodsHealthzAndErrors(t *testing.T) {
 		"unknown model":    {`{"model":"nope"}`, http.StatusBadRequest},
 		"no model":         {`{"method":"hatt"}`, http.StatusBadRequest},
 		"oversized model":  {`{"model":"hubbard:10x10"}`, http.StatusUnprocessableEntity},
-		"absurd beam":      {`{"model":"h2","method":"beam","options":{"beam_width":100000}}`, http.StatusBadRequest},
-		"negative budget":  {`{"model":"h2","options":{"visit_budget":-1}}`, http.StatusBadRequest},
+		"absurd beam":      {`{"model":"h2","method":"beam:100000"}`, http.StatusBadRequest},
+		"negative budget":  {`{"model":"h2","method":"fh:-1"}`, http.StatusBadRequest},
 		"bad tiebreak":     {`{"model":"h2","options":{"tie_break":"sideways"}}`, http.StatusBadRequest},
 		"trailing garbage": {`{"model":"h2"} extra`, http.StatusBadRequest},
 		"bad hamiltonian":  {`{"hamiltonian":{"modes":-3}}`, http.StatusBadRequest},

@@ -35,7 +35,7 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 	seeds := []string{
 		`{"model":"h2","method":"hatt"}`,
 		`{"model":"hubbard:2x2","method":"beam:8","include_strings":true}`,
-		`{"model":"hubbard:2x2","options":{"beam_width":4,"seed":7}}`,
+		`{"model":"hubbard:2x2","method":"beam:4","options":{"seed":7}}`,
 		`{"model":"molecule:4","method":"anneal","options":{"anneal_iters":10,"anneal_t_start":2,"anneal_t_end":0.1}}`,
 		`{"hamiltonian":{"modes":2,"terms":[{"coeff":[1,0],"ops":[{"mode":0,"dagger":true},{"mode":0,"dagger":false}]}]}}`,
 		// Malformed and truncated bodies.
@@ -51,7 +51,7 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 		// Unknown fields and wrong types.
 		`{"modell":"h2"}`,
 		`{"model":12}`,
-		`{"model":"h2","options":{"beam_width":"wide"}}`,
+		`{"model":"h2","options":{"seed":"wide"}}`,
 		`{"model":"h2","options":[1,2,3]}`,
 		`{"hamiltonian":"not an object"}`,
 		// Absurd values.
@@ -60,8 +60,8 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 		`{"model":"molecule:7"}`,
 		`{"model":"h2","method":"beam:0"}`,
 		`{"model":"h2","method":"fh:-5"}`,
-		`{"model":"h2","options":{"beam_width":2147483647}}`,
-		`{"model":"h2","options":{"visit_budget":-9223372036854775808}}`,
+		`{"model":"h2","method":"beam:2147483647"}`,
+		`{"model":"h2","method":"fh:-9223372036854775808"}`,
 		`{"model":"h2","options":{"anneal_iters":999999999999}}`,
 		`{"model":"h2","options":{"anneal_t_start":1e308,"anneal_t_end":-1}}`,
 		`{"model":"h2","options":{"anneal_restarts":-1}}`,
@@ -108,16 +108,21 @@ func FuzzCompileRequestDecoder(f *testing.F) {
 }
 
 // TestOutOfRangeOptionsRefusedAtDecode sends the out-of-range option
-// seeds of FuzzCompileRequestDecoder through fuzzAPI, whose compile
-// stage is a stub: decode validates options, so each is a 400 before
-// any compile runs.
+// and spec-parameter seeds of FuzzCompileRequestDecoder, and the option
+// fields that are now spec parameters, through fuzzAPI, whose compile
+// stage is a stub: decode validates options and resolves the spec, so
+// each is a 400 before any compile runs.
 func TestOutOfRangeOptionsRefusedAtDecode(t *testing.T) {
 	a, stop := fuzzAPI(t)
 	defer stop()
 	handler := a.Handler()
 	for _, body := range []string{
-		`{"model":"h2","options":{"beam_width":2147483647}}`,
-		`{"model":"h2","options":{"visit_budget":-9223372036854775808}}`,
+		`{"model":"h2","method":"beam:2147483647"}`,
+		`{"model":"h2","method":"beam:100000"}`,
+		`{"model":"h2","method":"portfolio:hatt+beam:100000"}`,
+		`{"model":"h2","method":"fh:-9223372036854775808"}`,
+		`{"model":"h2","method":"beam","options":{"beam_width":8}}`,
+		`{"model":"h2","method":"fh","options":{"visit_budget":100}}`,
 		`{"model":"h2","options":{"anneal_iters":999999999999}}`,
 		`{"model":"h2","options":{"anneal_t_start":1e308,"anneal_t_end":-1}}`,
 		`{"model":"h2","options":{"anneal_restarts":-1}}`,

@@ -42,9 +42,11 @@ var (
 
 // Config sizes the manager.
 type Config struct {
-	// Workers is the number of jobs compiled concurrently (each job runs
-	// single-threaded search parallelism unless its options say
-	// otherwise). Non-positive means GOMAXPROCS.
+	// Workers is the number of jobs compiled concurrently. Non-positive
+	// means GOMAXPROCS. Each compile, a job's or a synchronous one, fans
+	// its search out over the compiler's default of GOMAXPROCS workers
+	// unless its request sets parallelism; that default is what lets the
+	// default portfolio run its three racers at once.
 	Workers int
 	// QueueDepth bounds the pending-job queue; from 7/8 of it on,
 	// submissions of new work get ErrOverloaded. Non-positive means

@@ -16,11 +16,6 @@ func Balanced(n int) *Tree {
 	// Breadth-first attachment: node j's children are internal nodes
 	// 3j+1, 3j+2, 3j+3 when those exist.
 	nextChild := 1
-	type slot struct {
-		parent *Node
-		branch Branch
-	}
-	var openSlots []slot
 	for j := 0; j < n; j++ {
 		for b := 0; b < 3; b++ {
 			if nextChild < n {
@@ -29,16 +24,12 @@ func Balanced(n int) *Tree {
 				c.Parent = internal[j]
 				c.PBranch = Branch(b)
 				nextChild++
-			} else {
-				openSlots = append(openSlots, slot{internal[j], Branch(b)})
 			}
 		}
 	}
 	t := &Tree{N: n, Root: internal[0], Leaves: make([]*Node, 0, 2*n+1)}
-	// Fill open slots with leaves in depth-first order so that leaf IDs
-	// increase left-to-right. openSlots is already in BFS parent order;
-	// re-walk the tree depth-first to number leaves deterministically.
-	_ = openSlots
+	// Fill the open slots with leaves in depth-first order so that leaf
+	// IDs increase left-to-right.
 	id := 0
 	var attach func(nd *Node)
 	attach = func(nd *Node) {

@@ -179,42 +179,6 @@ func (t *Tree) Depth() int {
 	return depth(t.Root)
 }
 
-// Pairing maps each even leaf ID 2l to its partner 2l+1 under the
-// vacuum-preserving assignment, plus the discarded leaf.
-type Pairing struct {
-	// PartnerOf[id] is the paired leaf ID, or -1 for the discarded leaf.
-	PartnerOf []int
-	// Discarded is the ID of the unpaired leaf (the root's Z-descendant in
-	// canonical pairings).
-	Discarded int
-}
-
-// CanonicalPairing pairs leaves of an arbitrary complete ternary tree so
-// that every pair shares an (X,Y) letter pair on one qubit and acts
-// |0⟩-equivalently elsewhere: recursively, the Z-descendant of a node's X
-// child pairs with the Z-descendant of its Y child; the Z child's
-// Z-descendant propagates upward and the root's Z-descendant is discarded.
-func (t *Tree) CanonicalPairing() Pairing {
-	p := Pairing{PartnerOf: make([]int, len(t.Leaves))}
-	for i := range p.PartnerOf {
-		p.PartnerOf[i] = -1
-	}
-	var visit func(n *Node) *Node // returns the subtree's unpaired Z-descendant leaf
-	visit = func(n *Node) *Node {
-		if n.IsLeaf() {
-			return n
-		}
-		lx := visit(n.Child[BX])
-		ly := visit(n.Child[BY])
-		lz := visit(n.Child[BZ])
-		p.PartnerOf[lx.ID] = ly.ID
-		p.PartnerOf[ly.ID] = lx.ID
-		return lz
-	}
-	p.Discarded = visit(t.Root).ID
-	return p
-}
-
 // MajoranaAssignment returns, for each Majorana index 0..2N-1, the leaf ID
 // whose string realizes it, following the canonical pairing: each
 // (X-side, Y-side) pair becomes (M_2l, M_2l+1) in discovery order. The

@@ -164,23 +164,60 @@ func TestPaperFigure3Example(t *testing.T) {
 	}
 }
 
+// pairing maps each leaf ID to its partner under the vacuum-preserving
+// assignment, plus the discarded leaf.
+type pairing struct {
+	// partnerOf[id] is the paired leaf ID, or -1 for the discarded leaf.
+	partnerOf []int
+	// discarded is the ID of the unpaired leaf, the root's Z-descendant.
+	discarded int
+}
+
+// canonicalPairing is the reference pairing MajoranaAssignment is held
+// to. It pairs the leaves of any complete ternary tree so that every
+// pair shares an (X,Y) letter pair on one qubit and acts
+// |0⟩-equivalently elsewhere: recursively, the Z-descendant of a node's
+// X child pairs with the Z-descendant of its Y child; the Z child's
+// Z-descendant propagates upward and the root's Z-descendant is
+// discarded.
+func canonicalPairing(t *Tree) pairing {
+	p := pairing{partnerOf: make([]int, len(t.Leaves))}
+	for i := range p.partnerOf {
+		p.partnerOf[i] = -1
+	}
+	var visit func(n *Node) *Node // returns the subtree's unpaired Z-descendant leaf
+	visit = func(n *Node) *Node {
+		if n.IsLeaf() {
+			return n
+		}
+		lx := visit(n.Child[BX])
+		ly := visit(n.Child[BY])
+		lz := visit(n.Child[BZ])
+		p.partnerOf[lx.ID] = ly.ID
+		p.partnerOf[ly.ID] = lx.ID
+		return lz
+	}
+	p.discarded = visit(t.Root).ID
+	return p
+}
+
 func TestCanonicalPairingProperties(t *testing.T) {
 	for _, tr := range []*Tree{Balanced(3), Balanced(8), chain(5)} {
-		p := tr.CanonicalPairing()
+		p := canonicalPairing(tr)
 		ss := tr.AllStrings()
 		// The discarded leaf is the root's Z-descendant.
-		if p.Discarded != tr.Root.DescZ().ID {
-			t.Fatalf("discarded = %d, want root descZ %d", p.Discarded, tr.Root.DescZ().ID)
+		if p.discarded != tr.Root.DescZ().ID {
+			t.Fatalf("discarded = %d, want root descZ %d", p.discarded, tr.Root.DescZ().ID)
 		}
 		paired := 0
-		for id, partner := range p.PartnerOf {
-			if id == p.Discarded {
+		for id, partner := range p.partnerOf {
+			if id == p.discarded {
 				if partner != -1 {
 					t.Fatalf("discarded leaf has partner")
 				}
 				continue
 			}
-			if partner < 0 || p.PartnerOf[partner] != id {
+			if partner < 0 || p.partnerOf[partner] != id {
 				t.Fatalf("pairing not symmetric at %d", id)
 			}
 			paired++
@@ -213,7 +250,7 @@ func TestCanonicalPairingProperties(t *testing.T) {
 
 func TestMajoranaAssignment(t *testing.T) {
 	tr := Balanced(5)
-	p := tr.CanonicalPairing()
+	p := canonicalPairing(tr)
 	assign := tr.MajoranaAssignment()
 	if len(assign) != 10 {
 		t.Fatalf("assignment length %d", len(assign))
@@ -226,7 +263,7 @@ func TestMajoranaAssignment(t *testing.T) {
 			t.Fatalf("leaf reused in assignment")
 		}
 		seen[even], seen[odd] = true, true
-		if p.PartnerOf[even] != odd {
+		if p.partnerOf[even] != odd {
 			t.Fatalf("assignment pairs %d,%d not partners", even, odd)
 		}
 		// The even string must carry X and the odd string Y on their shared
@@ -245,7 +282,7 @@ func TestMajoranaAssignment(t *testing.T) {
 			t.Fatalf("pair (M%d,M%d) missing (X,Y) qubit", 2*l, 2*l+1)
 		}
 	}
-	if seen[p.Discarded] {
+	if seen[p.discarded] {
 		t.Fatalf("discarded leaf assigned")
 	}
 }

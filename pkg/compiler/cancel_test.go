@@ -51,7 +51,7 @@ func TestCancelMidAnneal(t *testing.T) {
 func TestCancelMidExhaustive(t *testing.T) {
 	// An unlimited-budget exhaustive search on 12 modes is intractable;
 	// the deadline must unwind the recursion within one state expansion.
-	cancelPromptly(t, "fh", WithVisitBudget(0))
+	cancelPromptly(t, "fh:0")
 }
 
 func TestCancelMidBeam(t *testing.T) {

@@ -43,28 +43,14 @@ const (
 
 // Options carries every tunable a Method may consult. Construct it with
 // NewOptions so zero fields get their documented defaults; methods ignore
-// options that do not apply to them.
+// options that do not apply to them. The search knobs are set only
+// through the With* options; beam's width and fh's visit budget are set
+// only by the method spec ("beam:8", "fh:500000").
 type Options struct {
-	BeamWidth    int               // beam search width (beam)
-	VisitBudget  int64             // exhaustive search state budget, ≤0 unlimited (fh)
-	AnnealIters  int               // mutation attempts, 0 = 2000·N (anneal)
-	AnnealTStart float64           // initial temperature, 0 = 2.0 (anneal)
-	AnnealTEnd   float64           // final temperature, 0 = 0.01 (anneal)
 	TrotterSteps int               // Trotter steps synthesized by Pipeline
 	TrotterTime  float64           // total evolution time synthesized by Pipeline
 	TermOrder    circuit.TermOrder // term ordering used by Pipeline synthesis
-	TieBreak     TieBreak          // equal-weight candidate policy (hatt)
-	Seed         int64             // RNG seed, 0 = 1 (anneal)
-	// Parallelism bounds the worker pool each method fans its search out
-	// over (beam candidate scoring, anneal restart chains, portfolio
-	// racers). It never changes a method's result: a fixed Seed produces
-	// a byte-identical mapping at every Parallelism value.
-	Parallelism int
-	// AnnealRestarts runs that many independent annealing chains (seeded
-	// Seed, Seed+1, …) and keeps the lowest-weight result, earliest chain
-	// on ties (anneal).
-	AnnealRestarts int
-	Progress       func(ProgressEvent)
+	Progress     func(ProgressEvent)
 	// Store, when non-nil, is consulted before and after every compile:
 	// hits skip the search, misses populate it. See WithStore.
 	Store Store
@@ -85,28 +71,25 @@ type Options struct {
 	// scheduling only — never the compiled result — so cached results
 	// remain valid whatever the ledger held. See WithMethodLedger.
 	Ledger MethodLedger
-	// bound and boundPos thread a portfolio's shared incumbent into the
-	// racer sub-compiles; they are never set outside a portfolio race.
-	bound    *core.Bound
-	boundPos int
+	// search holds the knobs the With* search options write; each core
+	// search reads only its own fields. Its Bound and BoundPos thread a
+	// portfolio's shared incumbent into the racer sub-compiles and are
+	// never set outside a portfolio race.
+	search core.Options
 }
 
 // Option mutates Options; see the With* constructors.
 type Option func(*Options)
 
-// NewOptions applies the given options on top of the defaults:
-// beam width 4, visit budget 2,000,000, one Trotter step of time 1.0,
-// lexicographic term order, one annealing chain, and parallelism equal
-// to runtime.GOMAXPROCS.
+// NewOptions applies the given options on top of the defaults: one
+// Trotter step of time 1.0, lexicographic term order, one annealing
+// chain, and parallelism equal to runtime.GOMAXPROCS.
 func NewOptions(opts ...Option) Options {
 	o := Options{
-		BeamWidth:      4,
-		VisitBudget:    2_000_000,
-		TrotterSteps:   1,
-		TrotterTime:    1.0,
-		TermOrder:      circuit.OrderLexicographic,
-		Parallelism:    runtime.GOMAXPROCS(0),
-		AnnealRestarts: 1,
+		TrotterSteps: 1,
+		TrotterTime:  1.0,
+		TermOrder:    circuit.OrderLexicographic,
+		search:       core.Options{Workers: runtime.GOMAXPROCS(0), Restarts: 1},
 	}
 	for _, f := range opts {
 		f(&o)
@@ -114,17 +97,10 @@ func NewOptions(opts ...Option) Options {
 	return o
 }
 
-// WithBeamWidth sets the beam search width (methods: beam).
-func WithBeamWidth(width int) Option { return func(o *Options) { o.BeamWidth = width } }
-
-// WithVisitBudget bounds the exhaustive search's explored states;
-// budget ≤ 0 means unlimited (methods: fh).
-func WithVisitBudget(budget int64) Option { return func(o *Options) { o.VisitBudget = budget } }
-
 // WithAnnealSchedule sets the simulated-annealing schedule; zero values
 // keep the method defaults (methods: anneal).
 func WithAnnealSchedule(iters int, tStart, tEnd float64) Option {
-	return func(o *Options) { o.AnnealIters, o.AnnealTStart, o.AnnealTEnd = iters, tStart, tEnd }
+	return func(o *Options) { o.search.Iters, o.search.TStart, o.search.TEnd = iters, tStart, tEnd }
 }
 
 // WithTrotterSteps sets how many Trotter steps Pipeline synthesizes.
@@ -137,13 +113,14 @@ func WithTrotterTime(t float64) Option { return func(o *Options) { o.TrotterTime
 func WithTermOrder(ord circuit.TermOrder) Option { return func(o *Options) { o.TermOrder = ord } }
 
 // WithTieBreak sets the equal-weight candidate policy (methods: hatt).
-func WithTieBreak(tb TieBreak) Option { return func(o *Options) { o.TieBreak = tb } }
+func WithTieBreak(tb TieBreak) Option { return func(o *Options) { o.search.TieBreak = tb } }
 
 // WithSeed seeds the stochastic methods (methods: anneal).
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
+func WithSeed(seed int64) Option { return func(o *Options) { o.search.Seed = seed } }
 
 // WithParallelism bounds the worker pool the search methods fan out
-// over; n < 1 restores the default (runtime.GOMAXPROCS). Parallelism
+// over (beam candidate scoring, anneal restart chains, portfolio
+// racers); n < 1 restores the default (runtime.GOMAXPROCS). Parallelism
 // trades wall time only — for a fixed seed the compiled mapping is
 // byte-identical at every value.
 func WithParallelism(n int) Option {
@@ -151,7 +128,7 @@ func WithParallelism(n int) Option {
 		if n < 1 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		o.Parallelism = n
+		o.search.Workers = n
 	}
 }
 
@@ -163,7 +140,7 @@ func WithAnnealRestarts(n int) Option {
 		if n < 1 {
 			n = 1
 		}
-		o.AnnealRestarts = n
+		o.search.Restarts = n
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -12,12 +13,17 @@ import (
 	"repro/internal/mapping"
 )
 
+// maxBeamWidth bounds the width a beam spec may ask for: the search
+// holds width partial trees and scores every candidate merge of each
+// at every step, so its memory grows with the width.
+const maxBeamWidth = 4096
+
 // method is the built-in Method implementation: a named run function plus
-// an optional spec-parameter parser.
+// an optional spec-parameter parser, which Resolve calls.
 type method struct {
 	name  string
 	run   func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error)
-	parse func(base method, arg string) (Method, error)
+	parse func(arg string) (Method, error)
 }
 
 func (m method) Name() string { return m.name }
@@ -42,11 +48,33 @@ func (m method) Compile(ctx context.Context, mh *fermion.MajoranaHamiltonian, op
 	return m.run(ctx, mh, opts)
 }
 
-func (m method) WithParam(arg string) (Method, error) {
-	if m.parse == nil {
-		return nil, fmt.Errorf("compiler: method %q takes no parameter", m.name)
+// intParam gives m its one integer spec parameter, named what ("beam:8"
+// sets the width to 8): set writes the value into the search options,
+// the bare name runs at def, and a value outside [lo, hi] is an error.
+// Resolve is the one place an integer spec parameter is parsed, so
+// every surface that takes a spec shares its bounds.
+func intParam(m method, what string, def, lo, hi int64, set func(*core.Options, int64)) method {
+	at := func(v int64) method {
+		c := m
+		c.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+			set(&opts.search, v)
+			return m.run(ctx, mh, opts)
+		}
+		return c
 	}
-	return m.parse(m, arg)
+	bare := at(def)
+	bare.parse = func(arg string) (Method, error) {
+		v, err := strconv.ParseInt(arg, 10, 64)
+		if err != nil || v < lo || v > hi {
+			want := fmt.Sprintf("%d ≤ %s ≤ %d", lo, what, hi)
+			if hi == math.MaxInt64 {
+				want = fmt.Sprintf("%s ≥ %d", what, lo)
+			}
+			return nil, fmt.Errorf("compiler: bad %s %s %q (want %s:<%s>)", m.name, what, arg, m.name, want)
+		}
+		return at(v), nil
+	}
+	return bare
 }
 
 // constructive wraps the Hamiltonian-oblivious baselines, whose mappings
@@ -62,23 +90,12 @@ func fromCore(name string, r *core.Result) *Result {
 	return &Result{Method: name, Mapping: r.Mapping, Tree: r.Tree, PredictedWeight: r.PredictedWeight}
 }
 
-// coreOptions maps the facade options onto the one options struct every
-// internal/core search takes; each search reads only its own fields.
-// Progress and partial results are reported under the method's name.
+// coreOptions is the one options struct every internal/core search
+// takes: the search knobs of opts, with progress and partial results
+// reported under the method's name. Each search reads only its own
+// fields.
 func coreOptions(name string, opts Options) core.Options {
-	co := core.Options{
-		Workers:   opts.Parallelism,
-		Bound:     opts.bound,
-		BoundPos:  opts.boundPos,
-		TieBreak:  opts.TieBreak,
-		Width:     opts.BeamWidth,
-		MaxVisits: opts.VisitBudget,
-		Iters:     opts.AnnealIters,
-		TStart:    opts.AnnealTStart,
-		TEnd:      opts.AnnealTEnd,
-		Seed:      opts.Seed,
-		Restarts:  opts.AnnealRestarts,
-	}
+	co := opts.search
 	if opts.Progress != nil {
 		co.Progress = func(iter, iters, best int) {
 			opts.emit(ProgressEvent{Method: name, Stage: StageSearch, Step: iter, Total: iters, BestWeight: best})
@@ -125,48 +142,21 @@ func init() {
 	MustRegister(coreMethod("hatt", core.Build))
 	MustRegister(coreMethod("hatt-unopt", core.BuildUnopt))
 
-	beam := coreMethod("beam", core.Beam)
-	beam.parse = func(base method, arg string) (Method, error) {
-		width, err := strconv.Atoi(arg)
-		if err != nil || width < 1 {
-			return nil, fmt.Errorf("compiler: bad beam width %q (want beam:<width ≥ 1>)", arg)
-		}
-		inner := base.run
-		base.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-			opts.BeamWidth = width
-			return inner(ctx, mh, opts)
-		}
-		base.parse = nil
-		return base, nil
-	}
-	MustRegister(beam)
+	MustRegister(intParam(coreMethod("beam", core.Beam), "width", 4, 1, maxBeamWidth,
+		func(o *core.Options, width int64) { o.Width = int(width) }))
 
-	MustRegister(method{
-		name: "fh",
-		run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-			r, err := core.Exhaustive(ctx, mh, coreOptions("fh", opts))
-			if err != nil {
-				return nil, err
-			}
-			res := fromCore("fh", &r.Result)
-			res.Optimal = r.Optimal
-			res.Visited = r.Visited
-			return res, nil
-		},
-		parse: func(base method, arg string) (Method, error) {
-			budget, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || budget < 0 {
-				return nil, fmt.Errorf("compiler: bad fh visit budget %q (want fh:<budget ≥ 0>)", arg)
-			}
-			inner := base.run
-			base.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
-				opts.VisitBudget = budget
-				return inner(ctx, mh, opts)
-			}
-			base.parse = nil
-			return base, nil
-		},
-	})
+	fh := method{name: "fh", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+		r, err := core.Exhaustive(ctx, mh, coreOptions("fh", opts))
+		if err != nil {
+			return nil, err
+		}
+		res := fromCore("fh", &r.Result)
+		res.Optimal = r.Optimal
+		res.Visited = r.Visited
+		return res, nil
+	}}
+	MustRegister(intParam(fh, "budget", 2_000_000, 0, math.MaxInt64,
+		func(o *core.Options, budget int64) { o.MaxVisits = budget }))
 
 	MustRegister(coreMethod("anneal", core.Anneal))
 }

@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,13 +105,16 @@ func TestPipelineRunRecoversStagePanic(t *testing.T) {
 	}
 }
 
+// TestOptionDefaults pins NewOptions' defaults and that the With*
+// options write them; the bare beam and fh specs' defaults are
+// TestBareSpecDefaults'.
 func TestOptionDefaults(t *testing.T) {
 	o := NewOptions()
-	if o.BeamWidth != 4 || o.VisitBudget != 2_000_000 || o.TrotterSteps != 1 || o.TrotterTime != 1.0 {
+	if o.TrotterSteps != 1 || o.TrotterTime != 1.0 || o.search.Restarts != 1 || o.search.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("bad defaults: %+v", o)
 	}
-	o = NewOptions(WithBeamWidth(9), WithVisitBudget(5), WithTrotterSteps(3), WithSeed(42))
-	if o.BeamWidth != 9 || o.VisitBudget != 5 || o.TrotterSteps != 3 || o.Seed != 42 {
+	o = NewOptions(WithTrotterSteps(3), WithSeed(42), WithAnnealRestarts(0), WithParallelism(2))
+	if o.TrotterSteps != 3 || o.search.Seed != 42 || o.search.Restarts != 1 || o.search.Workers != 2 {
 		t.Fatalf("options not applied: %+v", o)
 	}
 }

@@ -22,9 +22,8 @@ import (
 const maxPortfolioRacers = 64
 
 // defaultRacers is the field a bare "portfolio" spec races: the greedy
-// HATT construction, beam search at the configured width, and simulated
-// annealing — the three searches with complementary cost/quality
-// profiles.
+// HATT construction, beam search at width 4, and simulated annealing —
+// the three searches with complementary cost/quality profiles.
 func defaultRacers() []string { return []string{"hatt", "beam", "anneal"} }
 
 func init() {
@@ -33,16 +32,14 @@ func init() {
 		run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
 			return runPortfolio(ctx, mh, opts, defaultRacers())
 		},
-		parse: func(base method, arg string) (Method, error) {
+		parse: func(arg string) (Method, error) {
 			racers, err := parsePortfolioSpec(arg)
 			if err != nil {
 				return nil, err
 			}
-			base.run = func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
+			return method{name: "portfolio", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
 				return runPortfolio(ctx, mh, opts, racers)
-			}
-			base.parse = nil
-			return base, nil
+			}}, nil
 		},
 	})
 }
@@ -93,7 +90,7 @@ func PortfolioShape(mh *fermion.MajoranaHamiltonian) string {
 // which racer launches first when the pool is narrower than the field
 // — scheduling only, never selection — and receives the outcome.
 func runPortfolio(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options, racers []string) (*Result, error) {
-	if opts.bound != nil {
+	if opts.search.Bound != nil {
 		return nil, errors.New("compiler: portfolio cannot race inside another portfolio")
 	}
 	n := len(racers)
@@ -120,7 +117,7 @@ func runPortfolio(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Opt
 	}
 
 	bound := core.NewBound()
-	inner := max(1, opts.Parallelism/n)
+	inner := max(1, opts.search.Workers/n)
 	type outcome struct {
 		res *Result
 		err error
@@ -150,13 +147,13 @@ func runPortfolio(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Opt
 	raceSpan.SetAttr("racers", strings.Join(racers, "+"))
 	defer raceSpan.End()
 
-	err := parallel.ForEach(rctx, n, min(n, max(1, opts.Parallelism)), func(li int) error {
+	err := parallel.ForEach(rctx, n, min(n, max(1, opts.search.Workers)), func(li int) error {
 		c := launch[li]
 		spec := racers[c]
 		sub := opts
-		sub.bound = bound
-		sub.boundPos = c
-		sub.Parallelism = inner
+		sub.search.Bound = bound
+		sub.search.BoundPos = c
+		sub.search.Workers = inner
 		sub.Store = nil // the race caches at the portfolio level only
 		sub.Ledger = nil
 		sub.DeviceName, sub.Device = "", nil // routing attaches to the winner once

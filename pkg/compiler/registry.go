@@ -18,13 +18,6 @@ type Method interface {
 	Compile(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error)
 }
 
-// Parameterized is implemented by methods that accept a spec parameter
-// after a colon, e.g. "beam:8". WithParam returns a configured copy.
-type Parameterized interface {
-	Method
-	WithParam(arg string) (Method, error)
-}
-
 var registry = struct {
 	sync.RWMutex
 	m map[string]Method
@@ -59,8 +52,9 @@ func MustRegister(m Method) {
 
 // Resolve parses a method spec of the form "name" or "name:param" and
 // returns the registered method, configured with the parameter when one
-// is given. Unknown names, parameters on parameterless methods, and
-// malformed parameters all return errors.
+// is given. Only built-in methods take a parameter. Unknown names,
+// parameters on parameterless methods, and malformed or out-of-range
+// parameters all return errors.
 func Resolve(spec string) (Method, error) {
 	name, arg, hasArg := strings.Cut(spec, ":")
 	registry.RLock()
@@ -72,11 +66,10 @@ func Resolve(spec string) (Method, error) {
 	if !hasArg {
 		return m, nil
 	}
-	pm, ok := m.(Parameterized)
-	if !ok {
-		return nil, fmt.Errorf("compiler: method %q takes no parameter (got %q)", name, spec)
+	if bm, ok := m.(method); ok && bm.parse != nil {
+		return bm.parse(arg)
 	}
-	return pm.WithParam(arg)
+	return nil, fmt.Errorf("compiler: method %q takes no parameter (got %q)", name, spec)
 }
 
 // Methods returns the registered method names, sorted.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fermion"
 	"repro/internal/models"
 )
@@ -61,29 +62,96 @@ func TestResolveUnknown(t *testing.T) {
 }
 
 func TestResolveBadParams(t *testing.T) {
-	for _, spec := range []string{"jw:3", "hatt:fast", "beam:", "beam:x", "beam:0", "fh:-1", "fh:много"} {
+	for _, spec := range []string{
+		"jw:3", "hatt:fast", "beam:", "beam:x", "beam:0", "beam:4097", "beam:100000",
+		"fh:-1", "fh:много", "portfolio:hatt+beam:4097",
+	} {
 		if _, err := Resolve(spec); err == nil {
 			t.Errorf("Resolve(%q): expected error", spec)
 		}
 	}
+	// The bounds are inclusive.
+	for _, spec := range []string{"beam:1", "beam:4096", "fh:0", "portfolio:hatt+beam:4096"} {
+		if _, err := Resolve(spec); err != nil {
+			t.Errorf("Resolve(%q): %v", spec, err)
+		}
+	}
 }
 
+// TestResolveParamConfigures holds each spec parameter to configuring
+// the search it names: the spec compiles what the core search does at
+// that width or budget, and the two widths differ on this model.
 func TestResolveParamConfigures(t *testing.T) {
-	mh := testMajorana(t)
-	m, err := Resolve("beam:2")
-	if err != nil {
-		t.Fatal(err)
+	mh := deviceTestMH(t, "hubbard:2x2")
+	ctx := context.Background()
+	weights := make(map[string]int)
+	for spec, co := range map[string]core.Options{
+		"beam:1": {Width: 1},
+		"beam:2": {Width: 2},
+		"fh:50":  {MaxVisits: 50},
+	} {
+		m, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name, _, _ := strings.Cut(spec, ":"); m.Name() != name {
+			t.Fatalf("Resolve(%q).Name() = %q, want %s", spec, m.Name(), name)
+		}
+		res, err := m.Compile(ctx, mh, NewOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *core.Result
+		var visited int64
+		if m.Name() == "fh" {
+			r, err := core.Exhaustive(ctx, mh, co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, visited = &r.Result, r.Visited
+		} else if want, err = core.Beam(ctx, mh, co); err != nil {
+			t.Fatal(err)
+		}
+		if res.PredictedWeight != want.PredictedWeight || res.Visited != visited {
+			t.Errorf("%s: weight %d, %d visited; core search gives %d, %d", spec, res.PredictedWeight, res.Visited, want.PredictedWeight, visited)
+		}
+		weights[spec] = res.PredictedWeight
 	}
-	if m.Name() != "beam" {
-		t.Fatalf("Name() = %q, want beam", m.Name())
+	if weights["beam:1"] == weights["beam:2"] {
+		t.Errorf("beam:1 and beam:2 both weigh %d", weights["beam:1"])
 	}
-	// The spec parameter must win over the option default.
-	res, err := m.Compile(context.Background(), mh, NewOptions(WithBeamWidth(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PredictedWeight <= 0 {
-		t.Fatal("bad weight")
+}
+
+// TestBareSpecDefaults holds the bare beam and fh specs to their
+// parameter defaults: width 4 and a budget of 2,000,000 visits.
+// hubbard:2x2 gives widths 3, 4 and 8 one mapping, so molecule:10
+// (where widths 3, 5, 6 and 7 weigh differently from 4) and hubbard:2x3
+// (5 and 8) pin the width.
+func TestBareSpecDefaults(t *testing.T) {
+	for _, tc := range []struct{ model, bare, spec string }{
+		{"hubbard:2x2", "beam", "beam:4"},
+		{"molecule:10", "beam", "beam:4"},
+		{"hubbard:2x3", "beam", "beam:4"},
+		{"hubbard:2x2", "fh", "fh:2000000"},
+	} {
+		mh := deviceTestMH(t, tc.model)
+		a, err := Compile(context.Background(), tc.bare, mh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Compile(context.Background(), tc.spec, mh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.PredictedWeight != b.PredictedWeight || a.Optimal != b.Optimal || a.Visited != b.Visited {
+			t.Errorf("%s %s: weight %d, optimal %v, %d visited; %s: %d, %v, %d", tc.model,
+				tc.bare, a.PredictedWeight, a.Optimal, a.Visited, tc.spec, b.PredictedWeight, b.Optimal, b.Visited)
+		}
+		for j := range a.Mapping.Majoranas {
+			if !a.Mapping.Majoranas[j].Equal(b.Mapping.Majoranas[j]) {
+				t.Fatalf("%s: %s and %s map M%d differently", tc.model, tc.bare, tc.spec, j)
+			}
+		}
 	}
 }
 

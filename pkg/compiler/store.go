@@ -39,7 +39,11 @@ func WithStore(s Store) Option { return func(o *Options) { o.Store = s } }
 //
 // Deliberately excluded: Parallelism (the engine's reproducibility
 // guarantee — a fixed seed compiles byte-identically at every worker
-// count), Progress (an observer), and Store itself.
+// count), Progress (an observer), and Store itself. The beam width and
+// the fh visit budget are part of the spec, which is the key's second
+// component; the digest still opens with the bare specs' values
+// ("bw=4;vb=2000000") so that every key written under default options
+// keeps its bytes.
 //
 // The target device IS folded in (as ";dev=<spec-or-fingerprint>"),
 // together with the synthesis knobs TrotterSteps, TrotterTime and
@@ -55,9 +59,9 @@ func (o Options) Digest() string {
 // digest is Digest over the device routingDevice already resolved, so
 // a compile looks its device up once.
 func (o Options) digest(dev *arch.Device) string {
-	d := fmt.Sprintf("v1;bw=%d;vb=%d;ai=%d;ats=%g;ate=%g;tb=%d;seed=%d;ar=%d",
-		o.BeamWidth, o.VisitBudget, o.AnnealIters, o.AnnealTStart, o.AnnealTEnd,
-		o.TieBreak, o.Seed, o.AnnealRestarts)
+	s := o.search
+	d := fmt.Sprintf("v1;bw=4;vb=2000000;ai=%d;ats=%g;ate=%g;tb=%d;seed=%d;ar=%d",
+		s.Iters, s.TStart, s.TEnd, s.TieBreak, s.Seed, s.Restarts)
 	if dd := o.deviceDigest(dev); dd != "" {
 		d += fmt.Sprintf(";dev=%s;ts=%d;tt=%g;to=%d", dd, o.TrotterSteps, o.TrotterTime, o.TermOrder)
 	}

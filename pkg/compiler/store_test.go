@@ -11,8 +11,15 @@ import (
 
 func TestOptionsDigestSemantics(t *testing.T) {
 	base := NewOptions()
-	if base.Digest() != NewOptions().Digest() {
-		t.Fatal("default digests differ")
+	// Keys written under default options, routed or not, keep their
+	// bytes across versions.
+	for want, o := range map[string]Options{
+		"v1;bw=4;vb=2000000;ai=0;ats=0;ate=0;tb=0;seed=0;ar=1":                             base,
+		"v1;bw=4;vb=2000000;ai=0;ats=0;ate=0;tb=0;seed=0;ar=1;dev=grid:6x6;ts=1;tt=1;to=1": NewOptions(WithDevice("grid:6x6")),
+	} {
+		if got := o.Digest(); got != want {
+			t.Fatalf("digest = %s, want %s", got, want)
+		}
 	}
 	// Result-invariant knobs must not perturb the digest.
 	for name, o := range map[string]Options{
@@ -47,15 +54,21 @@ func TestOptionsDigestSemantics(t *testing.T) {
 	}
 	// Result-affecting knobs must.
 	for name, o := range map[string]Options{
-		"beam width": NewOptions(WithBeamWidth(9)),
-		"budget":     NewOptions(WithVisitBudget(123)),
-		"anneal":     NewOptions(WithAnnealSchedule(10, 1.5, 0.1)),
-		"tiebreak":   NewOptions(WithTieBreak(TieDepth)),
-		"seed":       NewOptions(WithSeed(42)),
-		"restarts":   NewOptions(WithAnnealRestarts(3)),
+		"anneal":   NewOptions(WithAnnealSchedule(10, 1.5, 0.1)),
+		"tiebreak": NewOptions(WithTieBreak(TieDepth)),
+		"seed":     NewOptions(WithSeed(42)),
+		"restarts": NewOptions(WithAnnealRestarts(3)),
 	} {
 		if o.Digest() == base.Digest() {
 			t.Fatalf("%s did not change the digest", name)
+		}
+	}
+	// The beam width and the fh budget are spec parameters: they change
+	// the key through its spec.
+	mh := testMajorana(t)
+	for bare, spec := range map[string]string{"beam": "beam:9", "fh": "fh:123"} {
+		if storeKey(bare, mh, base, nil) == storeKey(spec, mh, base, nil) {
+			t.Fatalf("%s and %s share a store key", bare, spec)
 		}
 	}
 }
